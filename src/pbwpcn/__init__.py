@@ -21,7 +21,6 @@ from .coop import (
 from .auction import (
     AuctionConfig,
     AuctionOutcome,
-    AuctionState,
     auction_allocation,
     best_response,
     cumulative_clinch,

@@ -18,29 +18,21 @@ from .model import PairChannel, SystemParams, throughput
 from .coop import PairDerived, derive_pair, gamma, tau_of_e
 
 
+# longest price ladder the walk climbs; a longer one is a configuration error,
+# since the walk keeps a transcript row per round
+MAX_LADDER_ROUNDS = 10_000_000
+
+
 @dataclass(frozen=True)
 class AuctionConfig:
     reserve_price: float = 0.001
     step: float = 0.01
-    max_rounds: int = 10_000_000
 
     def __post_init__(self):
-        if self.reserve_price < 0.0:
-            raise DomainError("reserve_price must be nonnegative")
-        if self.step <= 0.0:
-            raise DomainError("step must be positive")
-        if self.max_rounds < 1:
-            raise DomainError("max_rounds must be at least 1")
-
-
-@dataclass
-class AuctionState:
-    round: int
-    price: float
-    bids: tuple[float, ...]
-    clinch_cum: tuple[float, ...]
-    concluded: bool = False
-    pb_quit: bool = False
+        if not 0.0 <= self.reserve_price < math.inf:
+            raise DomainError("reserve_price must be nonnegative and finite")
+        if not 0.0 < self.step < math.inf:
+            raise DomainError("step must be positive and finite")
 
 
 @dataclass
@@ -59,11 +51,7 @@ class AuctionOutcome:
 
 
 def best_response(
-    params: SystemParams,
-    ch: PairChannel,
-    d: PairDerived,
-    mu: float,
-    z_hint: float | None = None,
+    params: SystemParams, ch: PairChannel, d: PairDerived, mu: float
 ) -> tuple[float, float]:
     """A bidder's utility-maximizing (charging time, energy demand) at price mu.
 
@@ -74,12 +62,8 @@ def best_response(
     if mu < 0.0:
         raise DomainError(f"mu must be nonnegative, got {mu}")
     if mu >= d.alpha:
-        sig = params.noise_w
-        tau0 = (d.z_dag - 1.0) * sig / (
-            (d.z_dag - 1.0) * sig + ch.g_pow * ch.g_pow * params.eta * params.p_ap
-        )
-        return tau0, 0.0
-    e = gamma(params, ch, d, mu, z_hint=z_hint)
+        return tau_of_e(params, ch, d, 0.0), 0.0
+    e = gamma(params, ch, d, mu)
     return e / params.p_pb, e
 
 
@@ -143,103 +127,117 @@ def payment(mu_sequence, clinch_sequence) -> list[float]:
     return pay
 
 
-def run_auction(params: SystemParams, channels, cfg: AuctionConfig) -> AuctionOutcome:
-    """Full auction loop with per-round transcript and payments."""
-    deriveds = [derive_pair(params, ch, w) for ch, w in zip(channels, params.weights)]
-    n = len(deriveds)
-    budget = params.e_b_tot
-    z_hints: list[float | None] = [None] * n
+def bidder(params: SystemParams, ch: PairChannel, d: PairDerived):
+    """One bidder's demand oracle on the price ladder: ``bid(mu) -> energy``.
 
-    def bids_at(mu):
-        out = []
-        for i, (ch, d) in enumerate(zip(channels, deriveds)):
-            if mu >= d.alpha:
-                out.append(0.0)
-                continue
-            _, e = best_response(params, ch, d, mu, z_hint=z_hints[i])
-            z_hints[i] = 1.0 + d.x_const * e / (params.p_pb - e)
-            out.append(e)
-        return out
+    Above its cap the bidder drops out (the energy part of ``best_response``);
+    below it the demand is ``gamma(mu)``, warm-started from this bidder's
+    previous root, so each bidder needs its own oracle.
+    """
+    z_hint = None
 
-    transcript = []
-    mu = cfg.reserve_price
-    bids = bids_at(mu)
-    if math.fsum(bids) <= budget:
-        # demand never exceeds supply at the reserve price: no trade
-        tau_final = tuple(
-            best_response(params, ch, d, max(cfg.reserve_price, d.alpha))[0]
-            for ch, d in zip(channels, deriveds)
-        )
-        transcript.append({"round": 0, "price": mu, "bids": bids, "quit": True})
-        e_final = (0.0,) * n
-        pay = (0.0,) * n
-        ap_util = tuple(
-            w * throughput(params, ch, t, 0.0)
-            for w, ch, t in zip(params.weights, channels, tau_final)
-        )
-        return AuctionOutcome(
-            e_final=e_final,
-            tau_final=tau_final,
-            payment=pay,
-            ap_utility=ap_util,
-            pb_utility=0.0,
-            rounds_used=1,
-            pb_quit=True,
-            transcript=transcript,
-        )
+    def bid(mu: float) -> float:
+        nonlocal z_hint
+        if mu >= d.alpha:
+            return 0.0
+        e = gamma(params, ch, d, mu, z_hint=z_hint)
+        z_hint = 1.0 + d.x_const * e / (params.p_pb - e)
+        return e
 
-    mu_seq = [mu]
-    clinch_rows = [[cumulative_clinch(budget, bids, i) for i in range(n)]]
-    transcript.append(
-        {"round": 0, "price": mu, "bids": bids, "clinch_cum": clinch_rows[0]}
-    )
-    prev_bids = bids
-    t = 0
-    while True:
-        t += 1
-        if t > cfg.max_rounds:
-            raise RuntimeError(
-                "max_rounds exceeded; demand should be monotone in price"
-            )
-        mu = cfg.reserve_price + t * cfg.step
-        bids = bids_at(mu)
-        if math.fsum(bids) > budget:
-            row = [cumulative_clinch(budget, bids, i) for i in range(n)]
-            mu_seq.append(mu)
-            clinch_rows.append(row)
-            transcript.append(
-                {"round": t, "price": mu, "bids": bids, "clinch_cum": row}
-            )
-            prev_bids = bids
-            continue
-        final = final_clinch_prr(budget, bids, prev_bids)
-        mu_seq.append(mu)
-        clinch_rows.append(final)
-        transcript.append(
-            {"round": t, "price": mu, "bids": bids, "clinch_cum": final, "concluded": True}
-        )
-        break
+    return bid
 
-    pay = payment(mu_seq, clinch_rows)
-    e_final = tuple(final)
+
+def ladder_top(deriveds, cfg: AuctionConfig) -> int:
+    """First ladder index whose price reaches every bidder's cap.
+
+    Every bid there is zero, so aggregate demand has fallen to the budget.
+    """
+    alpha_max = max((d.alpha for d in deriveds), default=0.0)
+    span = (alpha_max - cfg.reserve_price) / cfg.step
+    if not span < math.inf:
+        raise DomainError(f"price step {cfg.step} gives no finite ladder")
+    t_top = math.ceil(max(span, 1.0))
+    if cfg.reserve_price + t_top * cfg.step < alpha_max:
+        t_top += 1  # the rounded quotient can leave the price one ulp short
+    return t_top
+
+
+def _outcome(
+    params, channels, deriveds, e_final, pay, rounds_used, pb_quit, transcript
+) -> AuctionOutcome:
+    """Charging times and utilities of a final allocation and its payments."""
     tau_final = tuple(
-        tau_of_e(params, ch, d, e)
-        for ch, d, e in zip(channels, deriveds, e_final)
+        tau_of_e(params, ch, d, e) for ch, d, e in zip(channels, deriveds, e_final)
     )
     ap_util = tuple(
         w * throughput(params, ch, tf, e) - p
         for w, ch, tf, e, p in zip(params.weights, channels, tau_final, e_final, pay)
     )
     return AuctionOutcome(
-        e_final=e_final,
+        e_final=tuple(e_final),
         tau_final=tau_final,
         payment=tuple(pay),
         ap_utility=ap_util,
         pb_utility=math.fsum(pay),
-        rounds_used=t + 1,
-        pb_quit=False,
+        rounds_used=rounds_used,
+        pb_quit=pb_quit,
         transcript=transcript,
     )
+
+
+def clinch(
+    params: SystemParams, channels, deriveds, budget: float, bids_at, cfg: AuctionConfig
+) -> AuctionOutcome:
+    """The ascending clinching auction: the ladder walk, its close and payments.
+
+    ``bids_at(mu, t)`` gathers every bid at ladder round ``t``, priced ``mu``.
+    Only the budget and the gathered bids drive the walk, so the pooled
+    auction and its message-passing protocol differ only in ``bids_at``.
+    """
+    t_top = ladder_top(deriveds, cfg)
+    if t_top + 1 > MAX_LADDER_ROUNDS:
+        raise DomainError(
+            f"a price ladder of {t_top + 1} rounds exceeds {MAX_LADDER_ROUNDS}"
+        )
+    n = len(deriveds)
+    mu_seq, clinch_rows, transcript = [], [], []
+
+    def record(t, mu, bids, clinched, **close):
+        mu_seq.append(mu)
+        clinch_rows.append(clinched)
+        transcript.append(
+            {"round": t, "price": mu, "bids": bids, "clinch_cum": clinched, **close}
+        )
+
+    prev_bids = None
+    for t in range(t_top + 1):
+        mu = cfg.reserve_price + t * cfg.step
+        bids = bids_at(mu, t)
+        if math.fsum(bids) <= budget:
+            break
+        record(t, mu, bids, [cumulative_clinch(budget, bids, i) for i in range(n)])
+        prev_bids = bids
+    if prev_bids is None:
+        # demand never exceeds supply at the reserve price: no trade
+        transcript.append({"round": 0, "price": mu, "bids": bids, "quit": True})
+        e_final = pay = (0.0,) * n
+    else:
+        record(t, mu, bids, final_clinch_prr(budget, bids, prev_bids), concluded=True)
+        e_final, pay = clinch_rows[-1], payment(mu_seq, clinch_rows)
+    return _outcome(
+        params, channels, deriveds, e_final, pay, t + 1, prev_bids is None, transcript
+    )
+
+
+def run_auction(params: SystemParams, channels, cfg: AuctionConfig) -> AuctionOutcome:
+    """Full auction loop with per-round transcript and payments."""
+    deriveds = [derive_pair(params, ch, w) for ch, w in zip(channels, params.weights)]
+    bids = [bidder(params, ch, d) for ch, d in zip(channels, deriveds)]
+
+    def bids_at(mu, t):
+        return [bid(mu) for bid in bids]
+
+    return clinch(params, channels, deriveds, params.e_b_tot, bids_at, cfg)
 
 
 def auction_allocation(params: SystemParams, channels, cfg: AuctionConfig):
@@ -251,39 +249,27 @@ def auction_allocation(params: SystemParams, channels, cfg: AuctionConfig):
     (e_final, tau_final, pb_quit, rounds_used).
     """
     deriveds = [derive_pair(params, ch, w) for ch, w in zip(channels, params.weights)]
-    n = len(deriveds)
     budget = params.e_b_tot
+    bids = [bidder(params, ch, d) for ch, d in zip(channels, deriveds)]
 
-    def bids_at(mu):
-        out = []
-        for ch, d in zip(channels, deriveds):
-            out.append(0.0 if mu >= d.alpha else gamma(params, ch, d, mu))
-        return out
+    def bids_at(t):
+        mu = cfg.reserve_price + t * cfg.step
+        return [bid(mu) for bid in bids]
 
-    def demand(t):
-        return math.fsum(bids_at(cfg.reserve_price + t * cfg.step))
-
-    if demand(0) <= budget:
-        tau_final = tuple(
-            best_response(params, ch, d, max(cfg.reserve_price, d.alpha))[0]
-            for ch, d in zip(channels, deriveds)
-        )
-        return (0.0,) * n, tau_final, True, 1
-
-    alpha_max = max(d.alpha for d in deriveds)
-    t_hi = max(1, math.ceil((alpha_max - cfg.reserve_price) / cfg.step))
-    # smallest t with demand(t) <= budget
-    lo, hi = 0, t_hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if demand(mid) > budget:
-            lo = mid
-        else:
-            hi = mid
-    t_close = hi
-    final = final_clinch_prr(budget, bids_at(cfg.reserve_price + t_close * cfg.step),
-                             bids_at(cfg.reserve_price + (t_close - 1) * cfg.step))
+    if math.fsum(bids_at(0)) <= budget:
+        e_final, pb_quit, rounds_used = (0.0,) * len(deriveds), True, 1
+    else:
+        # smallest t with demand at t within the budget
+        lo, hi = 0, ladder_top(deriveds, cfg)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if math.fsum(bids_at(mid)) > budget:
+                lo = mid
+            else:
+                hi = mid
+        e_final = tuple(final_clinch_prr(budget, bids_at(hi), bids_at(hi - 1)))
+        pb_quit, rounds_used = False, hi + 1
     tau_final = tuple(
-        tau_of_e(params, ch, d, e) for ch, d, e in zip(channels, deriveds, final)
+        tau_of_e(params, ch, d, e) for ch, d, e in zip(channels, deriveds, e_final)
     )
-    return tuple(final), tau_final, False, t_close + 1
+    return e_final, tau_final, pb_quit, rounds_used

@@ -269,6 +269,11 @@ def waterfill(params: SystemParams, channels, cfg: RootConfig = DEFAULT_CONFIG) 
             deriveds, params.e_b_tot, respond, transcript, cfg
         )
 
+    return waterfill_result(params, channels, deriveds, nu, e_star, rounds, transcript)
+
+
+def waterfill_result(params, channels, deriveds, nu, e_star, rounds, transcript):
+    """Charging times and welfare of a water-filling energy split."""
     tau_star = tuple(
         tau_of_e(params, ch, d, e) for ch, d, e in zip(channels, deriveds, e_star)
     )

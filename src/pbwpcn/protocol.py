@@ -10,26 +10,20 @@ available information.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
-from .auction import (
-    AuctionConfig,
-    AuctionOutcome,
-    cumulative_clinch,
-    final_clinch_prr,
-    payment,
-)
+from .auction import AuctionConfig, AuctionOutcome, bidder, clinch
 from .coop import (
     WaterfillResult,
     derive_pair,
     price_search,
     respond_to_price,
-    tau_of_e,
+    waterfill_result,
 )
 from .errors import ProtocolError
-from .model import Allocation, PairChannel, SystemParams, social_welfare, throughput
+from .model import PairChannel, SystemParams
 
 PB_ID = 0
 
@@ -110,17 +104,11 @@ class APAgent:
     def __init__(self, view: APView):
         self.view = view
         self.derived = derive_pair(view.params, view.channel, view.weight)
-
-    def coop_response(self, nu: float, is_marginal: bool = False) -> float:
-        return respond_to_price(
-            self.view.params, self.view.channel, self.derived, nu,
-            is_marginal=is_marginal,
+        self.coop_response = partial(
+            respond_to_price, view.params, view.channel, self.derived
         )
-
-    def auction_bid(self, mu: float) -> float:
-        if mu >= self.derived.alpha:
-            return 0.0
-        return respond_to_price(self.view.params, self.view.channel, self.derived, mu)
+        # the warm-start hint of the auction bid is this AP's own state
+        self.auction_bid = bidder(view.params, view.channel, self.derived)
 
 
 def run_coop_protocol(
@@ -167,19 +155,7 @@ def run_coop_protocol(
             )
         )
 
-    tau_star = tuple(
-        tau_of_e(params, ch, d, e) for ch, d, e in zip(channels, deriveds, e_star)
-    )
-    alloc = Allocation.from_energy(params, tau_star, e_star)
-    welfare = social_welfare(params, channels, alloc)
-    result = WaterfillResult(
-        nu=nu,
-        e_star=tuple(e_star),
-        tau_star=tau_star,
-        welfare=welfare,
-        rounds=rounds,
-        transcript=events,
-    )
+    result = waterfill_result(params, channels, deriveds, nu, e_star, rounds, events)
     return result, bus
 
 
@@ -189,11 +165,6 @@ def run_auction_protocol(
     """Ascending clinching auction executed as explicit message rounds."""
     bus = Bus()
     agents = [APAgent(v) for v in ap_views]
-    params = ap_views[0].params
-    channels = [v.channel for v in ap_views]
-    deriveds = [a.derived for a in agents]
-    n = len(agents)
-    budget = pb_view.e_b_tot
 
     def gather_bids(mu, r):
         bids = []
@@ -205,78 +176,16 @@ def run_auction_protocol(
             bids.append(bid)
         return bids
 
-    transcript = []
-    mu = cfg.reserve_price
-    bids = gather_bids(mu, 0)
-    if math.fsum(bids) <= budget:
-        for agent in agents:
-            bus.send(Message(MessageKind.QUIT, PB_ID, agent.view.agent_id, mu, 1))
-        tau_final = tuple(tau_of_e(params, ch, d, 0.0) for ch, d in zip(channels, deriveds))
-        ap_util = tuple(
-            w * throughput(params, ch, t, 0.0)
-            for w, ch, t in zip(params.weights, channels, tau_final)
-        )
-        transcript.append({"round": 0, "price": mu, "bids": bids, "quit": True})
-        outcome = AuctionOutcome(
-            e_final=(0.0,) * n,
-            tau_final=tau_final,
-            payment=(0.0,) * n,
-            ap_utility=ap_util,
-            pb_utility=0.0,
-            rounds_used=1,
-            pb_quit=True,
-            transcript=transcript,
-        )
-        return outcome, bus
+    params = ap_views[0].params
+    channels = [v.channel for v in ap_views]
+    deriveds = [a.derived for a in agents]
+    outcome = clinch(params, channels, deriveds, pb_view.e_b_tot, gather_bids, cfg)
 
-    mu_seq = [mu]
-    clinch_rows = [[cumulative_clinch(budget, bids, i) for i in range(n)]]
-    transcript.append({"round": 0, "price": mu, "bids": bids, "clinch_cum": clinch_rows[0]})
-    prev_bids = bids
-    t = 0
-    while True:
-        t += 1
-        if t > cfg.max_rounds:
-            raise RuntimeError("max_rounds exceeded; demand should be monotone in price")
-        mu = cfg.reserve_price + t * cfg.step
-        bids = gather_bids(mu, t)
-        if math.fsum(bids) > budget:
-            row = [cumulative_clinch(budget, bids, i) for i in range(n)]
-            mu_seq.append(mu)
-            clinch_rows.append(row)
-            transcript.append({"round": t, "price": mu, "bids": bids, "clinch_cum": row})
-            prev_bids = bids
-            continue
-        final = final_clinch_prr(budget, bids, prev_bids)
-        mu_seq.append(mu)
-        clinch_rows.append(final)
-        transcript.append(
-            {"round": t, "price": mu, "bids": bids, "clinch_cum": final, "concluded": True}
-        )
-        break
-
-    for agent, e in zip(agents, final):
-        bus.send(
-            Message(MessageKind.FINAL_ALLOCATION, PB_ID, agent.view.agent_id, e, t + 1)
-        )
-
-    pay = payment(mu_seq, clinch_rows)
-    e_final = tuple(final)
-    tau_final = tuple(
-        tau_of_e(params, ch, d, e) for ch, d, e in zip(channels, deriveds, e_final)
-    )
-    ap_util = tuple(
-        w * throughput(params, ch, tf, e) - p
-        for w, ch, tf, e, p in zip(params.weights, channels, tau_final, e_final, pay)
-    )
-    outcome = AuctionOutcome(
-        e_final=e_final,
-        tau_final=tau_final,
-        payment=tuple(pay),
-        ap_utility=ap_util,
-        pb_utility=math.fsum(pay),
-        rounds_used=t + 1,
-        pb_quit=False,
-        transcript=transcript,
-    )
+    # one closing message per AP: a quit carries the reserve price, a trade
+    # the AP's final allocation
+    kind = MessageKind.QUIT if outcome.pb_quit else MessageKind.FINAL_ALLOCATION
+    r = outcome.rounds_used
+    for agent, e in zip(agents, outcome.e_final):
+        payload = cfg.reserve_price if outcome.pb_quit else e
+        bus.send(Message(kind, PB_ID, agent.view.agent_id, payload, r))
     return outcome, bus

@@ -18,6 +18,8 @@ from pbwpcn import (
     throughput,
     waterfill,
 )
+from pbwpcn import auction
+from pbwpcn.auction import MAX_LADDER_ROUNDS
 
 from conftest import random_instance
 
@@ -228,6 +230,16 @@ class TestRunAuction:
         with pytest.raises(DomainError):
             AuctionConfig(reserve_price=-0.1)
 
+    def test_config_is_finite_and_has_no_round_cap(self):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                AuctionConfig(step=bad)
+            with pytest.raises(DomainError):
+                AuctionConfig(reserve_price=bad)
+        assert [f.name for f in dataclasses.fields(AuctionConfig)] == [
+            "reserve_price", "step"
+        ]
+
 
 class TestAuctionAllocation:
     def test_matches_full_run_on_paper(self, paper):
@@ -260,3 +272,60 @@ class TestAuctionAllocation:
         assert quit_
         assert e_fin == (0.0, 0.0, 0.0)
         assert rounds == 1
+
+    def test_ladder_top_reaches_the_largest_cap(self, paper):
+        # (alpha_max - mu0) / delta rounds to 71, but mu0 + 71 * delta falls
+        # one ulp short of alpha_max; the walk closes at round 72
+        params, channels = paper
+        params = dataclasses.replace(params, e_b_tot=0.05)
+        ds = [derive_pair(params, ch, w) for ch, w in zip(channels, params.weights)]
+        alpha_max = max(d.alpha for d in ds)
+        cfg = AuctionConfig(reserve_price=0.0, step=alpha_max / 71)
+        assert 71 * cfg.step < alpha_max
+        full = run_auction(params, channels, cfg)
+        assert full.rounds_used == 73
+        e_fin, tau_fin, quit_, rounds = auction_allocation(params, channels, cfg)
+        assert not quit_
+        assert rounds == 73
+        assert e_fin == pytest.approx(full.e_final, rel=1e-12, abs=1e-15)
+        assert tau_fin == pytest.approx(full.tau_final, rel=1e-12)
+
+    def test_accepts_a_ladder_too_long_to_walk(self, paper):
+        params, channels = paper
+        cfg = AuctionConfig(step=1e-9)
+        e_fin, _, quit_, rounds = auction_allocation(params, channels, cfg)
+        assert not quit_
+        assert rounds > MAX_LADDER_ROUNDS
+        assert math.fsum(e_fin) == pytest.approx(params.e_b_tot, abs=1e-12)
+
+
+class TestLadderLength:
+    def test_too_long_ladder_is_rejected_before_bidding(self, paper, monkeypatch):
+        params, channels = paper
+        calls = []
+        monkeypatch.setattr(auction, "gamma", lambda *a, **k: calls.append(a))
+        with pytest.raises(DomainError, match="ladder"):
+            run_auction(params, channels, AuctionConfig(step=1e-9))
+        assert calls == []
+
+    def test_longest_allowed_ladder_is_accepted(self, paper, monkeypatch):
+        # a ladder of exactly MAX_LADDER_ROUNDS rounds passes the check
+        params, channels = paper
+        cfg = AuctionConfig(reserve_price=0.0, step=1.0)
+        top = auction.ladder_top(
+            [derive_pair(params, ch, w) for ch, w in zip(channels, params.weights)],
+            cfg,
+        )
+        monkeypatch.setattr(auction, "MAX_LADDER_ROUNDS", top + 1)
+        assert run_auction(params, channels, cfg).rounds_used <= top + 1
+        monkeypatch.setattr(auction, "MAX_LADDER_ROUNDS", top)
+        with pytest.raises(DomainError):
+            run_auction(params, channels, cfg)
+
+    def test_no_finite_ladder(self, paper):
+        params, channels = paper
+        cfg = AuctionConfig(step=1e-320)
+        with pytest.raises(DomainError):
+            run_auction(params, channels, cfg)
+        with pytest.raises(DomainError):
+            auction_allocation(params, channels, cfg)

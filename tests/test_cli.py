@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -80,6 +81,26 @@ class TestSweep:
         assert (tmp_path / "a" / "fig6_welfare.csv").read_bytes() == (
             tmp_path / "b" / "fig6_welfare.csv"
         ).read_bytes()
+
+
+class TestLadderTooLong:
+    # a step of 1e-9 gives a ladder of about 5.7e9 rounds on the paper instance
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["auction", "--delta", "1e-9"],
+            ["protocol", "--which", "auction", "--delta", "1e-9"],
+        ],
+    )
+    def test_rejected_up_front(self, capsys, tmp_path, argv):
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        assert main(argv + ["--out", str(out)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "ladder" in captured.err
 
 
 class TestConfigErrors:

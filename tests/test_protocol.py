@@ -132,6 +132,29 @@ class TestAuctionProtocol:
                 assert a == pytest.approx(b, abs=1e-10)
             assert ap_to_ap_count(bus) == 0
 
+    def test_bit_equal_to_pooled(self, paper):
+        # one clinching engine over the same bid oracle: equal, not close
+        rng = np.random.default_rng(32)
+        params, channels = paper
+        cases = [(params, channels, AuctionConfig())]
+        # a slack budget takes the quit path
+        slack = dataclasses.replace(params, e_b_tot=3.0)
+        cases.append((slack, channels, AuctionConfig()))
+        for _ in range(20):
+            params, channels, _ = random_instance(rng, int(rng.integers(1, 6)))
+            cfg = AuctionConfig(step=float(rng.uniform(0.005, 0.05)))
+            cases.append((params, channels, cfg))
+        for params, channels, cfg in cases:
+            pooled = run_auction(params, channels, cfg)
+            dist, _ = run_auction_protocol(*make_views(params, channels), cfg)
+            assert dist.transcript == pooled.transcript
+            assert dist.e_final == pooled.e_final
+            assert dist.tau_final == pooled.tau_final
+            assert dist.payment == pooled.payment
+            assert dist.ap_utility == pooled.ap_utility
+            assert dist.rounds_used == pooled.rounds_used
+            assert dist.pb_quit == pooled.pb_quit
+
     def test_quit_broadcast(self, paper):
         params, channels = paper
         params = dataclasses.replace(params, e_b_tot=3.0)
