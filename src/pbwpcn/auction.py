@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError
 from .model import PairChannel, SystemParams, throughput
-from .coop import PairDerived, derive_pair, gamma, tau_of_e
+from .coop import PairDerived, crossing_search, derive_pair, gamma, pooled_bids, tau_of_e
 
 
 # longest price ladder the walk climbs; a longer one is a configuration error,
@@ -127,26 +127,6 @@ def payment(mu_sequence, clinch_sequence) -> list[float]:
     return pay
 
 
-def bidder(params: SystemParams, ch: PairChannel, d: PairDerived):
-    """One bidder's demand oracle on the price ladder: ``bid(mu) -> energy``.
-
-    Above its cap the bidder drops out (the energy part of ``best_response``);
-    below it the demand is ``gamma(mu)``, warm-started from this bidder's
-    previous root, so each bidder needs its own oracle.
-    """
-    z_hint = None
-
-    def bid(mu: float) -> float:
-        nonlocal z_hint
-        if mu >= d.alpha:
-            return 0.0
-        e = gamma(params, ch, d, mu, z_hint=z_hint)
-        z_hint = 1.0 + d.x_const * e / (params.p_pb - e)
-        return e
-
-    return bid
-
-
 def ladder_top(deriveds, cfg: AuctionConfig) -> int:
     """First ladder index whose price reaches every bidder's cap.
 
@@ -232,11 +212,7 @@ def clinch(
 def run_auction(params: SystemParams, channels, cfg: AuctionConfig) -> AuctionOutcome:
     """Full auction loop with per-round transcript and payments."""
     deriveds = [derive_pair(params, ch, w) for ch, w in zip(channels, params.weights)]
-    bids = [bidder(params, ch, d) for ch, d in zip(channels, deriveds)]
-
-    def bids_at(mu, t):
-        return [bid(mu) for bid in bids]
-
+    bids_at = pooled_bids(params, channels, deriveds)
     return clinch(params, channels, deriveds, params.e_b_tot, bids_at, cfg)
 
 
@@ -250,24 +226,21 @@ def auction_allocation(params: SystemParams, channels, cfg: AuctionConfig):
     """
     deriveds = [derive_pair(params, ch, w) for ch, w in zip(channels, params.weights)]
     budget = params.e_b_tot
-    bids = [bidder(params, ch, d) for ch, d in zip(channels, deriveds)]
+    pooled = pooled_bids(params, channels, deriveds)
 
     def bids_at(t):
-        mu = cfg.reserve_price + t * cfg.step
-        return [bid(mu) for bid in bids]
+        return pooled(cfg.reserve_price + t * cfg.step, t)
 
-    if math.fsum(bids_at(0)) <= budget:
+    first = bids_at(0)
+    if math.fsum(first) <= budget:
         e_final, pb_quit, rounds_used = (0.0,) * len(deriveds), True, 1
     else:
-        # smallest t with demand at t within the budget
-        lo, hi = 0, ladder_top(deriveds, cfg)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if math.fsum(bids_at(mid)) > budget:
-                lo = mid
-            else:
-                hi = mid
-        e_final = tuple(final_clinch_prr(budget, bids_at(hi), bids_at(hi - 1)))
+        # every bid is zero at the ladder top; the closing round is the
+        # first index where demand falls to the budget
+        _, prev, hi, last = crossing_search(
+            bids_at, budget, 0, first, ladder_top(deriveds, cfg), [0.0] * len(deriveds)
+        )
+        e_final = tuple(final_clinch_prr(budget, last, prev))
         pb_quit, rounds_used = False, hi + 1
     tau_final = tuple(
         tau_of_e(params, ch, d, e) for ch, d, e in zip(channels, deriveds, e_final)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConvergenceError, DomainError
 from .model import LN2, Allocation, PairChannel, SystemParams, social_welfare
-from .roots import DEFAULT_CONFIG, RootConfig, lambert_w0, solve_z
+from .roots import lambert_w0, solve_z
 
 # relative tolerance for treating an announced price as equal to a pair's cap
 PRICE_EQ_RTOL = 1e-12
@@ -96,7 +96,6 @@ def gamma(
     ch: PairChannel,
     d: PairDerived,
     nu: float,
-    cfg: RootConfig = DEFAULT_CONFIG,
     z_hint: float | None = None,
 ) -> float:
     """Energy demand at price nu on the strictly concave segment.
@@ -106,7 +105,7 @@ def gamma(
     if not 0.0 <= nu < d.alpha:
         raise DomainError(f"gamma needs 0 <= nu < alpha={d.alpha}, got {nu}")
     y = nu * params.p_pb * LN2 / d.lam_w
-    z = solve_z(d.x_const, y, cfg, z_hint=z_hint)
+    z = solve_z(d.x_const, y, z_hint=z_hint)
     return params.p_pb * (z - 1.0) / (z - 1.0 + d.x_const)
 
 
@@ -121,7 +120,8 @@ def respond_to_price(
 
     At nu exactly equal to the pair's cap the demand set is the whole
     interval [0, e_lim]; the pair reports e_lim so the coordinator learns
-    the interval.
+    the interval.  A one-shot form: the solvers bid through
+    ``demand_oracle`` and never call it.
     """
     if nu < 0.0:
         raise DomainError(f"nu must be nonnegative, got {nu}")
@@ -132,6 +132,51 @@ def respond_to_price(
     if nu > d.alpha:
         return 0.0
     return gamma(params, ch, d, nu)
+
+
+def demand_oracle(params: SystemParams, ch: PairChannel, d: PairDerived):
+    """One pair's demand oracle: ``bid(nu) -> energy`` at an announced price.
+
+    At or above its cap the pair demands nothing; below it the demand is
+    ``gamma(nu)``, warm-started from this pair's previous root, so each pair
+    needs its own oracle.  Water-filling, the auction and both protocols all
+    bid through it.
+    """
+    z_hint = None
+
+    def bid(nu: float) -> float:
+        nonlocal z_hint
+        if nu >= d.alpha:
+            return 0.0
+        e = gamma(params, ch, d, nu, z_hint=z_hint)
+        z_hint = 1.0 + d.x_const * e / (params.p_pb - e)
+        return e
+
+    return bid
+
+
+def pooled_bids(params: SystemParams, channels, deriveds):
+    """``bids_at(price, r)``: every pair's demand, one oracle per pair."""
+    bids = [demand_oracle(params, ch, d) for ch, d in zip(channels, deriveds)]
+    return lambda price, r: [bid(price) for bid in bids]
+
+
+def crossing_search(bids_at, budget, lo, lo_bids, hi, hi_bids):
+    """Narrow an index bracket on a nonincreasing demand to adjacent indices.
+
+    ``bids_at(t)`` gathers every bid at index ``t``; aggregate demand at
+    ``lo`` exceeds the budget and at ``hi`` it does not.  Binary search keeps
+    that invariant until ``hi == lo + 1``; returns (lo, lo_bids, hi, hi_bids)
+    so that no index is gathered twice.
+    """
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        bids = bids_at(mid)
+        if math.fsum(bids) > budget:
+            lo, lo_bids = mid, bids
+        else:
+            hi, hi_bids = mid, bids
+    return lo, lo_bids, hi, hi_bids
 
 
 @dataclass
@@ -157,66 +202,56 @@ def _alpha_groups(alphas):
     return groups
 
 
-def price_search(deriveds, e_b_tot, respond, transcript, cfg: RootConfig = DEFAULT_CONFIG):
-    """Descending-cap sweep plus bisection; the core of the water-filling loop.
+def price_search(deriveds, e_b_tot, bids_at, transcript):
+    """Binary search over the sorted caps plus bisection; the water-filling loop.
 
-    ``respond(nu, marginal)`` gathers all pairs' energy requests for an
-    announced price, with ``marginal`` the set of pair indices whose cap
-    equals the announcement.  Only the caps, knees and gathered bids drive
-    the decisions, which is what makes the distributed variant a drop-in
+    ``bids_at(nu, r)`` gathers every pair's demand at the price ``nu``
+    announced in round ``r``.  Aggregate demand is nonincreasing in the
+    price, so a binary search over the caps brackets the dual price between
+    two adjacent caps (sorted-breakpoint water-filling, Palomar & Fonollosa,
+    IEEE TSP 2005).  Only the caps, knees and gathered bids drive the
+    decisions, which is what makes the distributed variant a drop-in
     replacement for the pooled one.
 
     Returns (nu, e_star list, rounds).
     """
     n = len(deriveds)
-    alphas = [d.alpha for d in deriveds]
-    e_lims = [d.e_lim for d in deriveds]
-    groups = _alpha_groups(alphas)
+    groups = _alpha_groups([d.alpha for d in deriveds])[::-1]
     if not groups:
         return 0.0, [0.0] * n, 0
-
+    # a group's price is its largest cap; every pair bids zero at the top one
+    prices = [0.0] + [deriveds[group[0]].alpha for group in groups]
     rounds = 0
 
-    def announce(nu, marginal=frozenset()):
+    def announce(nu):
         nonlocal rounds
         rounds += 1
-        bids = respond(nu, marginal)
+        bids = bids_at(nu, rounds)
         transcript.append(
             {"round": rounds, "nu": nu, "bids": list(bids), "agg": math.fsum(bids)}
         )
         return bids
 
-    prev_alpha = None
-    for group in groups:
-        a = alphas[group[0]]
-        marginal = frozenset(group)
-        bids = announce(a, marginal)
-        agg = math.fsum(bids)
-        lim_sum = math.fsum(e_lims[i] for i in group)
-        if agg < e_b_tot:
-            prev_alpha = a
-            continue
-        if agg - lim_sum <= e_b_tot:
-            # price settles exactly at this cap; split the residual budget
-            # across the tied pairs in proportion to their knees
-            e_star = list(bids)
-            residual = e_b_tot - (agg - lim_sum)
-            if len(group) > 1:
-                transcript.append({"tie": sorted(group), "nu": a})
-            for i in group:
-                e_star[i] = residual * e_lims[i] / lim_sum if lim_sum > 0 else 0.0
-            return a, e_star, rounds
-        # demand crossed the budget strictly inside (a, prev_alpha)
-        assert prev_alpha is not None, "demand at the top cap cannot exceed budget"
-        nu, bids = _bisect_price(a, prev_alpha, e_b_tot, announce)
-        return nu, bids, rounds
-
-    # every cap was swept without exhausting the budget
     bids = announce(0.0)
     if math.fsum(bids) <= e_b_tot:
         return 0.0, list(bids), rounds
-    a_min = alphas[groups[-1][0]]
-    nu, bids = _bisect_price(0.0, a_min, e_b_tot, announce)
+    lo, _, hi, bids = crossing_search(
+        lambda t: announce(prices[t]), e_b_tot, 0, bids, len(groups), [0.0] * n
+    )
+    group = groups[hi - 1]
+    lim_sum = math.fsum(deriveds[i].e_lim for i in group)
+    residual = e_b_tot - math.fsum(bids)
+    if residual <= lim_sum:
+        # price settles exactly at this cap; split the residual budget
+        # across the tied pairs in proportion to their knees
+        e_star = list(bids)
+        if len(group) > 1:
+            transcript.append({"tie": sorted(group), "nu": prices[hi]})
+        for i in group:
+            e_star[i] = residual * deriveds[i].e_lim / lim_sum
+        return prices[hi], e_star, rounds
+    # demand crosses the budget strictly between the two adjacent caps
+    nu, bids = _bisect_price(prices[lo], prices[hi], e_b_tot, announce)
     return nu, bids, rounds
 
 
@@ -244,31 +279,16 @@ def _bisect_price(lo, hi, e_b_tot, announce):
     return nu, bids
 
 
-def waterfill(params: SystemParams, channels, cfg: RootConfig = DEFAULT_CONFIG) -> WaterfillResult:
+def waterfill(params: SystemParams, channels) -> WaterfillResult:
     """Budget-constrained welfare maximization over beacon energy splits."""
     if len(channels) != params.n_pairs:
         raise DomainError("channels and weights sizes differ")
     deriveds = [
         derive_pair(params, ch, w) for ch, w in zip(channels, params.weights)
     ]
+    bids_at = pooled_bids(params, channels, deriveds)
     transcript: list = []
-
-    e_opt_sum = math.fsum(d.e_opt for d in deriveds if d.alpha > 0.0)
-    if params.e_b_tot >= e_opt_sum:
-        # slack budget: every pair takes its unconstrained optimum
-        e_star = [d.e_opt if d.alpha > 0.0 else 0.0 for d in deriveds]
-        nu, rounds = 0.0, 0
-    else:
-        def respond(nu, marginal):
-            return [
-                respond_to_price(params, ch, d, nu, is_marginal=(i in marginal))
-                for i, (ch, d) in enumerate(zip(channels, deriveds))
-            ]
-
-        nu, e_star, rounds = price_search(
-            deriveds, params.e_b_tot, respond, transcript, cfg
-        )
-
+    nu, e_star, rounds = price_search(deriveds, params.e_b_tot, bids_at, transcript)
     return waterfill_result(params, channels, deriveds, nu, e_star, rounds, transcript)
 
 

@@ -107,7 +107,9 @@ class SweepRecord:
     trials: int
 
 
-def _nopb_welfare(params: SystemParams, channels, deriveds) -> float:
+def _nopb_welfare(params: SystemParams, channels) -> float:
+    """Welfare when the beacon stays silent; it does not depend on the budget."""
+    deriveds = [derive_pair(params, ch, w) for ch, w in zip(channels, params.weights)]
     return math.fsum(
         w * throughput(params, ch, tau_of_e(params, ch, d, 0.0), 0.0)
         for w, ch, d in zip(params.weights, channels, deriveds)
@@ -122,17 +124,13 @@ def sweep(cfg: ExperimentConfig) -> list[SweepRecord]:
     run_auc = cfg.protocol in ("auction", "both")
 
     all_channels = [draw_channels(cfg, t) for t in range(cfg.trials)]
+    w_nopb = [_nopb_welfare(base, channels) for channels in all_channels]
     records = []
     for budget in cfg.e_b_tot_grid:
         params = dataclasses.replace(base, e_b_tot=budget)
         e_coop, e_auc, t_coop, t_auc = [], [], [], []
-        w_coop, w_auc, w_nopb = [], [], []
+        w_coop, w_auc = [], []
         for channels in all_channels:
-            deriveds = [
-                derive_pair(params, ch, w)
-                for ch, w in zip(channels, params.weights)
-            ]
-            w_nopb.append(_nopb_welfare(params, channels, deriveds))
             if run_coop:
                 res = waterfill(params, channels)
                 e_coop.extend(res.e_star)

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 
-from .auction import AuctionConfig, AuctionOutcome, bidder, clinch
+from .auction import AuctionConfig, AuctionOutcome, clinch
 from .coop import (
     WaterfillResult,
+    demand_oracle,
     derive_pair,
     price_search,
-    respond_to_price,
     waterfill_result,
 )
 from .errors import ProtocolError
@@ -104,11 +104,20 @@ class APAgent:
     def __init__(self, view: APView):
         self.view = view
         self.derived = derive_pair(view.params, view.channel, view.weight)
-        self.coop_response = partial(
-            respond_to_price, view.params, view.channel, self.derived
-        )
-        # the warm-start hint of the auction bid is this AP's own state
-        self.auction_bid = bidder(view.params, view.channel, self.derived)
+        # the warm-start hint of the demand oracle is this AP's own state
+        self.bid = demand_oracle(view.params, view.channel, self.derived)
+
+
+def _bid_round(bus: Bus, agents, price: float, r: int) -> list[float]:
+    """One round: announce the bare price to every AP and collect its bid."""
+    bids = []
+    for agent in agents:
+        aid = agent.view.agent_id
+        bus.send(Message(MessageKind.PRICE_ANNOUNCE, PB_ID, aid, price, r))
+        bid = agent.bid(price)
+        bus.send(Message(MessageKind.BID, aid, PB_ID, bid, r))
+        bids.append(bid)
+    return bids
 
 
 def run_coop_protocol(
@@ -127,33 +136,13 @@ def run_coop_protocol(
         bus.send(Message(MessageKind.ELIM_REPORT, aid, PB_ID, agent.derived.e_lim, 0))
 
     deriveds = [a.derived for a in agents]
-    round_counter = [0]
-
-    def respond(nu, marginal):
-        # the announcement carries the price and whether the receiver is the
-        # marginal bidder at that price
-        round_counter[0] += 1
-        r = round_counter[0]
-        bids = []
-        for idx, agent in enumerate(agents):
-            aid = agent.view.agent_id
-            flag = idx in marginal
-            bus.send(Message(MessageKind.PRICE_ANNOUNCE, PB_ID, aid, (nu, flag), r))
-            bid = agent.coop_response(nu, is_marginal=flag)
-            bus.send(Message(MessageKind.BID, aid, PB_ID, bid, r))
-            bids.append(bid)
-        return bids
-
     events: list = []
-    nu, e_star, rounds = price_search(deriveds, pb_view.e_b_tot, respond, events)
+    bids_at = partial(_bid_round, bus, agents)
+    nu, e_star, rounds = price_search(deriveds, pb_view.e_b_tot, bids_at, events)
 
-    final_round = round_counter[0] + 1
     for agent, e in zip(agents, e_star):
-        bus.send(
-            Message(
-                MessageKind.FINAL_ALLOCATION, PB_ID, agent.view.agent_id, e, final_round
-            )
-        )
+        aid = agent.view.agent_id
+        bus.send(Message(MessageKind.FINAL_ALLOCATION, PB_ID, aid, e, rounds + 1))
 
     result = waterfill_result(params, channels, deriveds, nu, e_star, rounds, events)
     return result, bus
@@ -165,21 +154,11 @@ def run_auction_protocol(
     """Ascending clinching auction executed as explicit message rounds."""
     bus = Bus()
     agents = [APAgent(v) for v in ap_views]
-
-    def gather_bids(mu, r):
-        bids = []
-        for agent in agents:
-            aid = agent.view.agent_id
-            bus.send(Message(MessageKind.PRICE_ANNOUNCE, PB_ID, aid, mu, r))
-            bid = agent.auction_bid(mu)
-            bus.send(Message(MessageKind.BID, aid, PB_ID, bid, r))
-            bids.append(bid)
-        return bids
-
     params = ap_views[0].params
     channels = [v.channel for v in ap_views]
     deriveds = [a.derived for a in agents]
-    outcome = clinch(params, channels, deriveds, pb_view.e_b_tot, gather_bids, cfg)
+    bids_at = partial(_bid_round, bus, agents)
+    outcome = clinch(params, channels, deriveds, pb_view.e_b_tot, bids_at, cfg)
 
     # one closing message per AP: a quit carries the reserve price, a trade
     # the AP's final allocation

@@ -18,7 +18,7 @@ from pbwpcn import (
     throughput,
     waterfill,
 )
-from pbwpcn import auction
+from pbwpcn import auction, coop
 from pbwpcn.auction import MAX_LADDER_ROUNDS
 
 from conftest import random_instance
@@ -298,12 +298,37 @@ class TestAuctionAllocation:
         assert rounds > MAX_LADDER_ROUNDS
         assert math.fsum(e_fin) == pytest.approx(params.e_b_tot, abs=1e-12)
 
+    def test_no_price_evaluated_twice(self, paper, monkeypatch):
+        # the search hands the bid vectors it gathered to the close
+        original = coop.gamma
+        calls = []
+
+        def recording_gamma(params, ch, d, nu, *args, **kwargs):
+            calls.append((d, nu))
+            return original(params, ch, d, nu, *args, **kwargs)
+
+        monkeypatch.setattr(coop, "gamma", recording_gamma)
+        monkeypatch.setattr(auction, "gamma", recording_gamma)
+        rng = np.random.default_rng(22)
+        params, channels = paper
+        cases = [(params, channels, AuctionConfig())]
+        for _ in range(15):
+            params, channels, _ = random_instance(rng, int(rng.integers(2, 5)))
+            cfg = AuctionConfig(step=float(rng.uniform(0.005, 0.05)))
+            cases.append((params, channels, cfg))
+        for params, channels, cfg in cases:
+            calls.clear()
+            auction_allocation(params, channels, cfg)
+            assert calls
+            assert len(set(calls)) == len(calls)
+
 
 class TestLadderLength:
     def test_too_long_ladder_is_rejected_before_bidding(self, paper, monkeypatch):
         params, channels = paper
         calls = []
         monkeypatch.setattr(auction, "gamma", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(coop, "gamma", lambda *a, **k: calls.append(a))
         with pytest.raises(DomainError, match="ladder"):
             run_auction(params, channels, AuctionConfig(step=1e-9))
         assert calls == []

@@ -17,6 +17,8 @@ from pbwpcn import (
     waterfill,
 )
 
+from pbwpcn.experiments import ExperimentConfig, draw_channels, table_params
+
 from conftest import random_instance, weighted_rate_grid
 
 GOLDEN_ALPHA = (0.4543, 4.7802, 5.6834)
@@ -312,3 +314,19 @@ class TestWaterfill:
         assert res.rounds >= 2
         announce_rounds = [r for r in res.transcript if "round" in r]
         assert len(announce_rounds) == res.rounds
+
+    def test_rounds_logarithmic_in_caps(self):
+        # a binary search over 200 sorted caps, then a bounded bisection;
+        # sweeping the caps one round each takes well over 100 rounds here
+        for seed in (1, 2, 3):
+            channels = draw_channels(ExperimentConfig(n_pairs=200, seed=seed), 0)
+            params = table_params(n_pairs=200)
+            e_opt_sum = math.fsum(
+                derive_pair(params, ch, w).e_opt
+                for ch, w in zip(channels, params.weights)
+            )
+            for frac in (0.2, 0.5, 0.8):
+                p = dataclasses.replace(params, e_b_tot=frac * e_opt_sum)
+                res = waterfill(p, channels)
+                assert res.rounds <= 50
+                assert math.fsum(res.e_star) == pytest.approx(p.e_b_tot, rel=1e-10)

@@ -96,6 +96,26 @@ class TestCoopProtocol:
         pooled = waterfill(params, [channels[0]])
         assert dist.nu == pytest.approx(pooled.nu, abs=1e-10)
 
+    def test_bit_equal_to_pooled(self, paper):
+        # one price search over the same demand oracle: equal, not close,
+        # also for a slack and an empty budget
+        rng = np.random.default_rng(33)
+        params, channels = paper
+        cases = [
+            (dataclasses.replace(params, e_b_tot=b), channels) for b in (1.0, 3.0, 0.0)
+        ]
+        for _ in range(20):
+            params, channels, _ = random_instance(rng, int(rng.integers(1, 6)))
+            cases.append((params, channels))
+        for params, channels in cases:
+            pooled = waterfill(params, channels)
+            dist, _ = run_coop_protocol(*make_views(params, channels))
+            assert dist.nu == pooled.nu
+            assert dist.e_star == pooled.e_star
+            assert dist.tau_star == pooled.tau_star
+            assert dist.welfare == pooled.welfare
+            assert dist.rounds == pooled.rounds
+
     def test_transcript_deterministic(self, paper):
         params, channels = paper
         pb, aps = make_views(params, channels)
