@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError
 from .model import PairChannel, SystemParams, throughput
-from .coop import PairDerived, crossing_search, derive_pair, gamma, pooled_bids, tau_of_e
+from .coop import PairDerived, crossing_search, derive_pairs, gamma, pooled_bids, tau_of_e
 
 
 # longest price ladder the walk climbs; a longer one is a configuration error,
@@ -211,7 +211,7 @@ def clinch(
 
 def run_auction(params: SystemParams, channels, cfg: AuctionConfig) -> AuctionOutcome:
     """Full auction loop with per-round transcript and payments."""
-    deriveds = [derive_pair(params, ch, w) for ch, w in zip(channels, params.weights)]
+    deriveds = derive_pairs(params, channels)
     bids_at = pooled_bids(params, channels, deriveds)
     return clinch(params, channels, deriveds, params.e_b_tot, bids_at, cfg)
 
@@ -224,7 +224,7 @@ def auction_allocation(params: SystemParams, channels, cfg: AuctionConfig):
     finds it without walking every round.  Returns
     (e_final, tau_final, pb_quit, rounds_used).
     """
-    deriveds = [derive_pair(params, ch, w) for ch, w in zip(channels, params.weights)]
+    deriveds = derive_pairs(params, channels)
     budget = params.e_b_tot
     pooled = pooled_bids(params, channels, deriveds)
 

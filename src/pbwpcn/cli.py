@@ -69,12 +69,13 @@ def load_config(path: str | None) -> dict:
     for key, value in data.items():
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}: unknown config field {key!r}")
-        if not isinstance(value, _CONFIG_KEYS[key]):
+        # bool is an int subtype, but true is no trial count
+        if isinstance(value, bool) or not isinstance(value, _CONFIG_KEYS[key]):
             raise ConfigError(
                 f"{path}: field {key!r} has wrong type {type(value).__name__}"
             )
     if "e_b_tot_grid" in data:
-        if not all(isinstance(v, (int, float)) for v in data["e_b_tot_grid"]):
+        if not all(type(v) in (int, float) for v in data["e_b_tot_grid"]):
             raise ConfigError(f"{path}: e_b_tot_grid entries must be numbers")
         data["e_b_tot_grid"] = tuple(float(v) for v in data["e_b_tot_grid"])
     return data

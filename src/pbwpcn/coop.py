@@ -54,6 +54,13 @@ def derive_pair(params: SystemParams, ch: PairChannel, weight: float) -> PairDer
     return PairDerived(a_const, x_const, z_dag, z_ddag, alpha, e_lim, e_opt, lam_w)
 
 
+def derive_pairs(params: SystemParams, channels) -> list[PairDerived]:
+    """Derived constants of every pair; the one place channels meet weights."""
+    if len(channels) != params.n_pairs:
+        raise DomainError("channels and weights sizes differ")
+    return [derive_pair(params, ch, w) for ch, w in zip(channels, params.weights)]
+
+
 def tau_of_e(params: SystemParams, ch: PairChannel, d: PairDerived, e_pb: float) -> float:
     """Optimal AP charging time for a given beacon energy allotment."""
     if not 0.0 <= e_pb < params.p_pb:
@@ -281,11 +288,7 @@ def _bisect_price(lo, hi, e_b_tot, announce):
 
 def waterfill(params: SystemParams, channels) -> WaterfillResult:
     """Budget-constrained welfare maximization over beacon energy splits."""
-    if len(channels) != params.n_pairs:
-        raise DomainError("channels and weights sizes differ")
-    deriveds = [
-        derive_pair(params, ch, w) for ch, w in zip(channels, params.weights)
-    ]
+    deriveds = derive_pairs(params, channels)
     bids_at = pooled_bids(params, channels, deriveds)
     transcript: list = []
     nu, e_star, rounds = price_search(deriveds, params.e_b_tot, bids_at, transcript)

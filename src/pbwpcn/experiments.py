@@ -65,12 +65,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if not 2.0 <= self.pathloss_zeta <= 5.0:
             raise DomainError("pathloss_zeta must lie in [2, 5]")
+        if not (0.0 < self.d_ap_src < math.inf and 0.0 < self.d_pb_src < math.inf):
+            raise DomainError("d_ap_src and d_pb_src must be positive and finite")
         if self.trials < 1 or self.antennas_m < 1 or self.n_pairs < 1:
             raise DomainError("trials, antennas_m and n_pairs must be >= 1")
         if self.protocol not in ("coop", "auction", "both"):
             raise DomainError(f"unknown protocol {self.protocol!r}")
-        if any(e < 0.0 for e in self.e_b_tot_grid):
-            raise DomainError("e_b_tot_grid entries must be nonnegative")
+        if any(not 0.0 <= e < math.inf for e in self.e_b_tot_grid):
+            raise DomainError("e_b_tot_grid entries must be nonnegative and finite")
 
 
 def pathloss(distance: float, zeta: float) -> float:

@@ -45,12 +45,12 @@ class SystemParams:
         if not 0.0 < self.eta < 1.0:
             raise DomainError(f"eta must be in (0, 1), got {self.eta}")
         for name in ("bandwidth_mhz", "noise_w", "p_ap", "p_pb"):
-            if getattr(self, name) <= 0.0:
-                raise DomainError(f"{name} must be positive")
-        if len(self.weights) == 0 or any(w <= 0.0 for w in self.weights):
-            raise DomainError("weights must be positive and non-empty")
-        if self.e_b_tot < 0.0:
-            raise DomainError("e_b_tot must be nonnegative")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be positive and finite")
+        if len(self.weights) == 0 or any(not 0.0 < w < math.inf for w in self.weights):
+            raise DomainError("weights must be positive, finite and non-empty")
+        if not 0.0 <= self.e_b_tot < math.inf:
+            raise DomainError(f"e_b_tot must be finite and >= 0, got {self.e_b_tot}")
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
 
     @property
@@ -70,10 +70,10 @@ class PairChannel:
     k_pow: float
 
     def __post_init__(self):
-        if self.g_pow <= 0.0:
-            raise DomainError("g_pow must be positive")
-        if self.k_pow < 0.0:
-            raise DomainError("k_pow must be nonnegative")
+        if not 0.0 < self.g_pow < math.inf:
+            raise DomainError("g_pow must be positive and finite")
+        if not 0.0 <= self.k_pow < math.inf:
+            raise DomainError("k_pow must be nonnegative and finite")
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from .coop import (
     price_search,
     waterfill_result,
 )
-from .errors import ProtocolError
+from .errors import DomainError, ProtocolError
 from .model import PairChannel, SystemParams
 
 PB_ID = 0
@@ -90,6 +90,8 @@ class PBView:
 
 
 def make_views(params: SystemParams, channels) -> tuple[PBView, list[APView]]:
+    if len(channels) != params.n_pairs:
+        raise DomainError("channels and weights sizes differ")
     pb = PBView(e_b_tot=params.e_b_tot)
     aps = [
         APView(agent_id=i + 1, params=params, channel=ch, weight=w)

@@ -1,8 +1,9 @@
 """Scalar solvers backing every closed form in the allocator.
 
-Two primitives: the principal branch of the Lambert W function, and the
-monotone family  z*ln(z) + (Y - 1)*z + 1 = X  whose unique root z > 1 fixes
-the charging-time and price-response expressions.
+One root solver: the monotone family  z*ln(z) + (Y - 1)*z + 1 = X  whose
+unique root z > 1 fixes the charging-time and price-response expressions.
+It works in u = z - 1, where every caller's cancellation lives.  The
+principal branch of the Lambert W function is its Y = 0 case.
 """
 
 from __future__ import annotations
@@ -17,6 +18,12 @@ _BRANCH_POINT = -1.0 / math.e
 
 @dataclass(frozen=True)
 class RootConfig:
+    """Stopping rule of ``solve_z``.
+
+    abs_tol  : bound on |residual| relative to X - Y
+    max_iter : Newton steps before giving up
+    """
+
     abs_tol: float = 1e-12
     max_iter: int = 100
 
@@ -33,45 +40,29 @@ DEFAULT_CONFIG = RootConfig()
 def lambert_w0(x: float, cfg: RootConfig = DEFAULT_CONFIG) -> float:
     """Principal branch W(x): the w >= -1 with w * exp(w) = x.
 
-    Defined for x >= -1/e.  Near the branch point a series in
-    p = sqrt(2*(e*x + 1)) seeds the iteration; plain starts lose digits
-    there, and realistic low-gain channels land exactly in that region.
+    Defined for x >= -1/e.  With z = exp(w + 1), w * exp(w) = x becomes
+    z*ln(z) - z + 1 = e*x + 1, so W is the Y = 0 case of ``solve_z``.
     """
     if x < _BRANCH_POINT:
         if x > _BRANCH_POINT * (1.0 + 1e-14) - 1e-300:
             x = _BRANCH_POINT  # round-off guard
         else:
             raise DomainError(f"lambert_w0 needs x >= -1/e, got {x}")
-    if x == 0.0:
-        return 0.0
+    a = math.e * x + 1.0
+    if a <= 0.0:
+        return -1.0
+    return math.log(solve_z(a, 0.0, cfg)) - 1.0
 
-    if x < _BRANCH_POINT + 1e-4:
-        p = math.sqrt(2.0 * (math.e * x + 1.0))
-        # series about the branch point
-        w = -1.0 + p - p * p / 3.0 + 11.0 / 72.0 * p**3 - 43.0 / 540.0 * p**4
-    elif x < math.e:
-        # pade-ish start, accurate enough for Halley on the mid range
-        w = x / (1.0 + x) if x > 0.0 else x * math.exp(-x)
-    else:
-        lx = math.log(x)
-        w = lx - math.log(lx)
 
-    tol = cfg.abs_tol * (1.0 + abs(x))
-    for _ in range(cfg.max_iter):
-        ew = math.exp(w)
-        f = w * ew - x
-        if abs(f) <= tol:
-            return w
-        # Halley step for f(w) = w e^w - x
-        fp = ew * (w + 1.0)
-        denom = fp - (w + 2.0) * f / (2.0 * w + 2.0) if w != -1.0 else fp
-        w -= f / denom
-        if w < -1.0:
-            w = -1.0 + 1e-16
-    ew = math.exp(w)
-    if abs(w * ew - x) <= 100.0 * tol:
-        return w
-    raise ConvergenceError(f"lambert_w0 did not converge for x={x}")
+def _h(u: float) -> float:
+    """(1 + u)*log1p(u) - u, by its series sum_{k>=2} (-u)^k/(k(k-1)) below 1e-2.
+
+    The closed form cancels for small u; eight series terms reach round-off.
+    """
+    if u < 1e-2:
+        return u * u * (1 / 2 - u * (1 / 6 - u * (1 / 12 - u * (1 / 20 - u * (
+            1 / 30 - u * (1 / 42 - u * (1 / 56 - u / 72)))))))
+    return (1.0 + u) * math.log1p(u) - u
 
 
 def solve_z(
@@ -83,39 +74,39 @@ def solve_z(
     """Unique root z > 1 of  z*ln(z) + (y_coef - 1)*z + 1 = x_target.
 
     The left side is increasing for z > 1 with value y_coef at z = 1, so a
-    root above 1 exists iff x_target > y_coef.  Safeguarded Newton from the
-    upper bracket end (the function is convex, so iterates stay above the
-    root); ``z_hint`` lets callers warm-start from a nearby solve.
+    root above 1 exists iff x_target > y_coef.  In u = z - 1 the equation is
+    h(u) + Y*u = X - Y with h(u) = (1 + u)*log1p(u) - u convex, so near the
+    branch point u keeps the digits that z - 1 would cancel (Corless et al.,
+    "On the Lambert W function", 1996, section 4).  Newton with slope
+    log1p(u) + Y runs inside a bracket, so ``z_hint``, a warm start from a
+    nearby solve, may lie on either side of the root.
     """
     if y_coef < 0.0:
         raise DomainError(f"y_coef must be nonnegative, got {y_coef}")
     if x_target <= y_coef:
         raise DomainError(f"need x_target > y_coef, got X={x_target}, Y={y_coef}")
 
-    lo = 1.0 + 1e-15
-    hi = x_target + 2.0
+    d = x_target - y_coef
+    lo, hi = 0.0, x_target + 1.0
+    if z_hint is not None and lo < z_hint - 1.0 < hi:
+        u = z_hint - 1.0
+    else:
+        u = math.sqrt(2.0 * d) if d < 1.0 else d / math.log1p(d)
 
-    def g(z):
-        return z * math.log(z) + (y_coef - 1.0) * z + 1.0
-
-    z = hi
-    if z_hint is not None and lo < z_hint <= hi and g(z_hint) >= x_target:
-        z = z_hint
-
-    tol = cfg.abs_tol * (1.0 + abs(x_target))
+    tol = cfg.abs_tol * d
     for _ in range(cfg.max_iter):
-        resid = g(z) - x_target
-        if abs(resid) <= tol:
-            return z
+        resid = _h(u) + y_coef * u - d
         if resid > 0.0:
-            hi = min(hi, z)
+            hi = u
         else:
-            lo = max(lo, z)
-        step = resid / (math.log(z) + y_coef)
-        z_new = z - step
-        if not (lo < z_new < hi):
-            z_new = 0.5 * (lo + hi)  # bisection fallback
-        z = z_new
+            lo = u
+        u_new = u - resid / (math.log1p(u) + y_coef)
+        if abs(resid) <= tol:
+            # one last Newton step leaves the error quadratic in the residual
+            return 1.0 + u_new
+        if not lo <= u_new <= hi:
+            u_new = 0.5 * (lo + hi)  # bisection fallback
+        u = u_new
     raise ConvergenceError(
         f"solve_z did not converge for X={x_target}, Y={y_coef}"
     )

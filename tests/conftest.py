@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint, minimize
@@ -41,6 +42,19 @@ def random_instance(rng, n_pairs, budget_frac=None):
     frac = budget_frac if budget_frac is not None else float(rng.uniform(0.1, 0.9))
     params = dataclasses.replace(params, e_b_tot=frac * e_opt_sum)
     return params, channels, deriveds
+
+
+def mp_z_minus_1(x_target, y_coef):
+    """z - 1 for the root z > 1 of z*ln(z) + (Y - 1)*z + 1 = X, at 40 digits.
+
+    With z = exp(t) the equation reads (t + Y - 1)*exp(t + Y - 1) =
+    (X - 1)*exp(Y - 1), so t is a Lambert W away; an oracle for ``solve_z``
+    that shares no code or method with it.  Inputs are taken as exact.
+    """
+    with mpmath.workdps(40):
+        x, y = mpmath.mpf(x_target), mpmath.mpf(y_coef)
+        w = mpmath.lambertw((x - 1) * mpmath.exp(y - 1))
+        return mpmath.expm1(mpmath.re(w) + 1 - y)
 
 
 def weighted_rate_grid(params, ch, weight, tau_grid, e_pb):

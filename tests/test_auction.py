@@ -274,19 +274,24 @@ class TestAuctionAllocation:
         assert rounds == 1
 
     def test_ladder_top_reaches_the_largest_cap(self, paper):
-        # (alpha_max - mu0) / delta rounds to 71, but mu0 + 71 * delta falls
-        # one ulp short of alpha_max; the walk closes at round 72
+        # (alpha_max - mu0) / delta rounds to n, but mu0 + n * delta falls
+        # one ulp short of alpha_max; the walk closes at round n + 1
         params, channels = paper
         params = dataclasses.replace(params, e_b_tot=0.05)
         ds = [derive_pair(params, ch, w) for ch, w in zip(channels, params.weights)]
         alpha_max = max(d.alpha for d in ds)
-        cfg = AuctionConfig(reserve_price=0.0, step=alpha_max / 71)
-        assert 71 * cfg.step < alpha_max
+        n = next(
+            n for n in range(71, 10_000)
+            if n * (alpha_max / n) < alpha_max
+            and math.ceil(alpha_max / (alpha_max / n)) == n
+        )
+        cfg = AuctionConfig(reserve_price=0.0, step=alpha_max / n)
+        assert n * cfg.step < alpha_max
         full = run_auction(params, channels, cfg)
-        assert full.rounds_used == 73
+        assert full.rounds_used == n + 2
         e_fin, tau_fin, quit_, rounds = auction_allocation(params, channels, cfg)
         assert not quit_
-        assert rounds == 73
+        assert rounds == n + 2
         assert e_fin == pytest.approx(full.e_final, rel=1e-12, abs=1e-15)
         assert tau_fin == pytest.approx(full.tau_final, rel=1e-12)
 

@@ -124,6 +124,30 @@ class TestConfigErrors:
         cfg.write_text(json.dumps({"trials": "many"}))
         assert main(["--config", str(cfg), "sweep"]) == 2
 
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            ('{"d_ap_src": 0}', "d_ap_src"),
+            ('{"d_pb_src": -10, "pathloss_zeta": 2.5}', "d_pb_src"),
+            ('{"d_ap_src": NaN}', "d_ap_src"),
+            ('{"e_b_tot_grid": [NaN]}', "e_b_tot_grid"),
+            ('{"trials": true}', "trials"),
+        ],
+    )
+    def test_bad_sweep_config(self, capsys, tmp_path, config, field):
+        out = tmp_path / "out"
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(config)
+        assert main(["--config", str(cfg), "sweep", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and field in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_budget(self, capsys, value):
+        assert main(["coop", "--ebtot", value]) == 2
+        assert "e_b_tot" in capsys.readouterr().err
+
     def test_no_outputs_on_config_error(self, capsys, tmp_path):
         out = tmp_path / "out"
         cfg = tmp_path / "bad.json"

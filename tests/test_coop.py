@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,9 +18,10 @@ from pbwpcn import (
     waterfill,
 )
 
+from pbwpcn.coop import demand_oracle
 from pbwpcn.experiments import ExperimentConfig, draw_channels, table_params
 
-from conftest import random_instance, weighted_rate_grid
+from conftest import mp_z_minus_1, random_instance, weighted_rate_grid
 
 GOLDEN_ALPHA = (0.4543, 4.7802, 5.6834)
 GOLDEN_E_LIM = (0.0989, 0.1676, 0.3299)
@@ -41,6 +43,26 @@ class TestDerivePair:
         multiset_close([d.alpha for d in ds], GOLDEN_ALPHA)
         multiset_close([d.e_lim for d in ds], GOLDEN_E_LIM)
         multiset_close([d.e_opt for d in ds], GOLDEN_E_OPT)
+
+    def test_paper_constants_against_mpmath(self, paper):
+        params, channels = paper
+        with mpmath.workdps(40):
+            sig, eta = mpmath.mpf(params.noise_w), mpmath.mpf(params.eta)
+            p_ap, p_pb = mpmath.mpf(params.p_ap), mpmath.mpf(params.p_pb)
+            for ch, w in zip(channels, params.weights):
+                d = derive_pair(params, ch, w)
+                g, k = mpmath.mpf(ch.g_pow), mpmath.mpf(ch.k_pow)
+                x = g * eta * (p_ap * g + p_pb * k) / sig
+                u_dag = mp_z_minus_1(g * g * eta * p_ap / sig, 0)
+                u_ddag = mp_z_minus_1(x, 0)
+                lam_w = mpmath.mpf(w) * mpmath.mpf(params.bandwidth_mhz)
+                expected = {
+                    "alpha": lam_w * g * eta * k / ((1 + u_dag) * sig * mpmath.log(2)),
+                    "e_lim": p_pb * u_dag / (u_dag + x),
+                    "e_opt": p_pb * u_ddag / (u_ddag + x),
+                }
+                for name, value in expected.items():
+                    assert abs(getattr(d, name) - value) <= 1e-14 * value, name
 
     def test_ordering_invariants(self):
         rng = np.random.default_rng(10)
@@ -192,6 +214,22 @@ class TestGamma:
             d = ds[0]
             g = gamma(params, channels[0], d, d.alpha * (1.0 - 1e-9))
             assert g == pytest.approx(d.e_lim, rel=1e-6)
+
+    def test_near_cap_against_mpmath(self):
+        # within 1e-3 * alpha of the cap X - Y is ~1e-6 * X; cold, and warm
+        # through the oracle along falling prices as a price search moves
+        params = table_params(n_pairs=2)
+        ch = draw_channels(ExperimentConfig(n_pairs=2, seed=0), 693)[1]
+        d = derive_pair(params, ch, params.weights[1])
+        nus = [d.alpha * (1.0 - 1e-3 * (k + 0.5) / 50) for k in range(50)]
+        bid = demand_oracle(params, ch, d)
+        for nu in nus:
+            with mpmath.workdps(40):
+                y = mpmath.mpf(nu) * params.p_pb * mpmath.log(2) / d.lam_w
+                u = mp_z_minus_1(d.x_const, y)
+                expected = params.p_pb * u / (u + d.x_const)
+            for e in (gamma(params, ch, d, nu), bid(nu)):
+                assert abs(e - expected) <= 1e-11 * expected, nu
 
     def test_inverts_gradient(self):
         rng = np.random.default_rng(18)

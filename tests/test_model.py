@@ -41,6 +41,21 @@ class TestValidation:
         with pytest.raises(DomainError):
             PairChannel(1.0, -1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", range(7))
+    def test_non_finite_params(self, field, bad):
+        args = [0.1, 1e-11, 0.5, 1.0, 2.0, (10.0, 10.0), 1.0]
+        args[field] = (10.0, bad) if field == 5 else bad
+        with pytest.raises(DomainError):
+            SystemParams(*args)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_gains(self, bad):
+        with pytest.raises(DomainError):
+            PairChannel(bad, 1e-5)
+        with pytest.raises(DomainError):
+            PairChannel(1e-6, bad)
+
     def test_allocation_ordering(self):
         with pytest.raises(DomainError):
             Allocation(tau=(0.2,), tau_prime=(0.5,), e_pb=(1.0,))

@@ -7,7 +7,9 @@ import pytest
 
 from pbwpcn import (
     AuctionConfig,
+    DomainError,
     ProtocolError,
+    auction_allocation,
     make_views,
     run_auction,
     run_auction_protocol,
@@ -206,3 +208,23 @@ class TestAuctionProtocol:
         for v, ch in zip(aps, channels):
             assert v.channel is ch
             assert v.agent_id != PB_ID
+
+
+@pytest.mark.parametrize("n_channels", [2, 4])
+@pytest.mark.parametrize(
+    "solve",
+    [
+        waterfill,
+        lambda p, c: run_auction(p, c, AuctionConfig()),
+        lambda p, c: auction_allocation(p, c, AuctionConfig()),
+        lambda p, c: run_coop_protocol(*make_views(p, c)),
+        lambda p, c: run_auction_protocol(*make_views(p, c), AuctionConfig()),
+    ],
+    ids=["waterfill", "run_auction", "auction_allocation", "coop_protocol",
+         "auction_protocol"],
+)
+def test_channels_and_weights_sizes_must_match(paper, n_channels, solve):
+    params, channels = paper
+    channels = (channels * 2)[:n_channels]
+    with pytest.raises(DomainError, match="sizes differ"):
+        solve(params, channels)

@@ -6,6 +6,8 @@ from scipy.special import lambertw as scipy_lambertw
 
 from pbwpcn import DomainError, RootConfig, lambert_w0, solve_z
 
+from conftest import mp_z_minus_1
+
 
 class TestLambertW0:
     def test_zero(self):
@@ -106,6 +108,16 @@ class TestSolveZ:
             solve_z(1.0, 2.0)
         with pytest.raises(DomainError):
             solve_z(1.0, -0.1)
+
+    def test_z_minus_one_against_mpmath(self):
+        # log-uniform X, and X - Y down to 1e-8 * X, where z - 1 would cancel
+        rng = np.random.default_rng(7)
+        for i in range(400):
+            x = float(10.0 ** rng.uniform(-6.0, 6.0))
+            y = 0.0 if i % 4 == 0 else x * (1.0 - float(10.0 ** rng.uniform(-8.0, 0.0)))
+            z = solve_z(x, y)
+            expected = mp_z_minus_1(x, y)
+            assert abs((z - 1.0) - expected) <= 1e-12 * expected + math.ulp(z), (x, y)
 
     def test_residual_tolerance(self):
         cfg = RootConfig(abs_tol=1e-13, max_iter=200)
