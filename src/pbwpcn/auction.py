@@ -15,7 +15,15 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError
 from .model import PairChannel, SystemParams, throughput
-from .coop import PairDerived, crossing_search, derive_pairs, gamma, pooled_bids, tau_of_e
+from .coop import (
+    PairDerived,
+    crossing_search,
+    derive_pairs,
+    final_clinch_prr,
+    gamma,
+    pooled_bids,
+    tau_of_e,
+)
 
 
 # longest price ladder the walk climbs; a longer one is a configuration error,
@@ -75,33 +83,6 @@ def cumulative_clinch(e_b_tot: float, bids, i: int) -> float:
         raise DomainError("bids must be nonnegative")
     others = math.fsum(b for j, b in enumerate(bids) if j != i)
     return max(0.0, e_b_tot - others)
-
-
-def final_clinch_prr(e_b_tot: float, bids_last, bids_prev) -> list[float]:
-    """Closing-round allocation under the proportional rationing rule.
-
-    Each bidder keeps its final bid plus a share of the residual supply,
-    proportional to how much it reduced its bid in the closing step.
-    """
-    if len(bids_last) != len(bids_prev):
-        raise DomainError("bid vectors must have equal length")
-    sum_last = math.fsum(bids_last)
-    sum_prev = math.fsum(bids_prev)
-    if not (sum_last <= e_b_tot < sum_prev):
-        raise DomainError(
-            f"supply not crossed: sum_last={sum_last}, sum_prev={sum_prev}, "
-            f"budget={e_b_tot}"
-        )
-    if any(bl > bp * (1.0 + 1e-12) + 1e-300 for bl, bp in zip(bids_last, bids_prev)):
-        raise DomainError("bids must be elementwise nonincreasing between rounds")
-    residual = e_b_tot - sum_last
-    if residual == 0.0:
-        return list(bids_last)
-    reduction = sum_prev - sum_last
-    return [
-        bl + (bp - bl) / reduction * residual
-        for bl, bp in zip(bids_last, bids_prev)
-    ]
 
 
 def payment(mu_sequence, clinch_sequence) -> list[float]:

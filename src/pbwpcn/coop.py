@@ -9,12 +9,15 @@ subject to the beacon's energy budget.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
 from .errors import ConvergenceError, DomainError
 from .model import LN2, Allocation, PairChannel, SystemParams, social_welfare
 from .roots import lambert_w0, solve_z
+
+log = logging.getLogger("pbwpcn")
 
 # relative tolerance for treating an announced price as equal to a pair's cap
 PRICE_EQ_RTOL = 1e-12
@@ -186,6 +189,35 @@ def crossing_search(bids_at, budget, lo, lo_bids, hi, hi_bids):
     return lo, lo_bids, hi, hi_bids
 
 
+def final_clinch_prr(e_b_tot: float, bids_last, bids_prev) -> list[float]:
+    """Split a budget between two demand vectors that straddle it.
+
+    Proportional rationing: each bidder keeps its ``bids_last`` bid plus a
+    share of the residual supply, proportional to how much it reduced its
+    bid from ``bids_prev``.  It closes the clinching auction and the price
+    search's last ulp.
+    """
+    if len(bids_last) != len(bids_prev):
+        raise DomainError("bid vectors must have equal length")
+    sum_last = math.fsum(bids_last)
+    sum_prev = math.fsum(bids_prev)
+    if not (sum_last <= e_b_tot < sum_prev):
+        raise DomainError(
+            f"supply not crossed: sum_last={sum_last}, sum_prev={sum_prev}, "
+            f"budget={e_b_tot}"
+        )
+    if any(bl > bp * (1.0 + 1e-12) + 1e-300 for bl, bp in zip(bids_last, bids_prev)):
+        raise DomainError("bids must be elementwise nonincreasing between rounds")
+    residual = e_b_tot - sum_last
+    if residual == 0.0:
+        return list(bids_last)
+    reduction = sum_prev - sum_last
+    return [
+        bl + (bp - bl) / reduction * residual
+        for bl, bp in zip(bids_last, bids_prev)
+    ]
+
+
 @dataclass
 class WaterfillResult:
     nu: float
@@ -210,24 +242,21 @@ def _alpha_groups(alphas):
 
 
 def price_search(deriveds, e_b_tot, bids_at, transcript):
-    """Binary search over the sorted caps plus bisection; the water-filling loop.
+    """Binary search over the sorted caps, then regula falsi; the water-filling loop.
 
     ``bids_at(nu, r)`` gathers every pair's demand at the price ``nu``
     announced in round ``r``.  Aggregate demand is nonincreasing in the
     price, so a binary search over the caps brackets the dual price between
     two adjacent caps (sorted-breakpoint water-filling, Palomar & Fonollosa,
-    IEEE TSP 2005).  Only the caps, knees and gathered bids drive the
-    decisions, which is what makes the distributed variant a drop-in
-    replacement for the pooled one.
+    IEEE TSP 2005), and ``_regula_falsi`` finds it inside that bracket.
+    Only the caps, knees and gathered bids drive the decisions, which is
+    what makes the distributed variant a drop-in replacement for the pooled
+    one.  Logs why the search stopped at DEBUG.
 
     Returns (nu, e_star list, rounds).
     """
     n = len(deriveds)
     groups = _alpha_groups([d.alpha for d in deriveds])[::-1]
-    if not groups:
-        return 0.0, [0.0] * n, 0
-    # a group's price is its largest cap; every pair bids zero at the top one
-    prices = [0.0] + [deriveds[group[0]].alpha for group in groups]
     rounds = 0
 
     def announce(nu):
@@ -239,10 +268,23 @@ def price_search(deriveds, e_b_tot, bids_at, transcript):
         )
         return bids
 
+    def stop(nu, e_star, reason, width=0.0):
+        total = math.fsum(e_star)
+        log.debug(
+            "price search: rounds=%d stop=%s bracket=%.3g budget_residual=%.3g",
+            rounds, reason, width,
+            abs(total - e_b_tot) / e_b_tot if e_b_tot > 0.0 else total,
+        )
+        return nu, e_star, rounds
+
+    if not groups:
+        return stop(0.0, [0.0] * n, "slack")
+    # a group's price is its largest cap; every pair bids zero at the top one
+    prices = [0.0] + [deriveds[group[0]].alpha for group in groups]
     bids = announce(0.0)
     if math.fsum(bids) <= e_b_tot:
-        return 0.0, list(bids), rounds
-    lo, _, hi, bids = crossing_search(
+        return stop(0.0, list(bids), "slack")
+    lo, lo_bids, hi, bids = crossing_search(
         lambda t: announce(prices[t]), e_b_tot, 0, bids, len(groups), [0.0] * n
     )
     group = groups[hi - 1]
@@ -256,34 +298,55 @@ def price_search(deriveds, e_b_tot, bids_at, transcript):
             transcript.append({"tie": sorted(group), "nu": prices[hi]})
         for i in group:
             e_star[i] = residual * deriveds[i].e_lim / lim_sum
-        return prices[hi], e_star, rounds
-    # demand crosses the budget strictly between the two adjacent caps
-    nu, bids = _bisect_price(prices[lo], prices[hi], e_b_tot, announce)
-    return nu, bids, rounds
+        return stop(prices[hi], e_star, "cap")
+    # demand crosses the budget strictly between the two adjacent caps; just
+    # below the upper one its group still bids its knees
+    below_hi = list(bids)
+    for i in group:
+        below_hi[i] = deriveds[i].e_lim
+    return stop(*_regula_falsi(
+        prices[lo], lo_bids, prices[hi], below_hi, lim_sum - residual, e_b_tot, announce
+    ))
 
 
-def _bisect_price(lo, hi, e_b_tot, announce):
-    """Find nu in (lo, hi) with aggregate demand equal to the budget."""
-    bids = None
-    nu = 0.5 * (lo + hi)
+def _regula_falsi(a, a_bids, b, b_bids, f_b, e_b_tot, announce):
+    """Find nu in (a, b) where aggregate demand meets the budget.
+
+    f(nu) = demand - budget is positive at ``a`` and ``f_b`` < 0 just below
+    ``b``.  Regula falsi with the Anderson-Bjorck correction (BIT 13, 1973)
+    needs no slope, only the aggregate demand each round gathers, and
+    converges superlinearly.  When no double lies strictly inside the
+    bracket, no price meets the budget: price ``b`` splits it between the
+    two end demands by proportional rationing, so only pairs whose demand
+    moves across that last ulp absorb the residual.
+
+    Returns (nu, bids, stop reason, relative bracket width).
+    """
+    f_a = math.fsum(a_bids) - e_b_tot
+    kept = None  # the end the previous step kept
     for _ in range(200):
-        nu = 0.5 * (lo + hi)
+        nu = b - f_b * (b - a) / (f_b - f_a)
+        if not a < nu < b:
+            nu = 0.5 * (a + b)
+            if not a < nu < b:
+                return b, final_clinch_prr(e_b_tot, b_bids, a_bids), "ulp", (b - a) / b
         bids = announce(nu)
-        agg = math.fsum(bids)
-        if abs(agg - e_b_tot) <= 1e-10 * e_b_tot or hi - lo <= 1e-14:
-            break
-        if agg > e_b_tot:
-            lo = nu
+        f = math.fsum(bids) - e_b_tot
+        if abs(f) <= 1e-12 * e_b_tot:
+            return nu, bids, "binds", (b - a) / b
+        # plain regula falsi keeps landing on one side; scaling down the value
+        # of an end kept twice in a row pulls the next point toward that end
+        if f > 0.0:
+            if kept == "b":
+                m = 1.0 - f / f_a
+                f_b *= m if m > 0.0 else 0.5
+            a, a_bids, f_a, kept = nu, bids, f, "b"
         else:
-            hi = nu
-    else:
-        raise ConvergenceError(f"price bisection stalled on bracket ({lo}, {hi})")
-    # distribute the residual rounding error proportionally so the budget
-    # binds exactly
-    total = math.fsum(bids)
-    if total > 0.0:
-        bids = [b * (e_b_tot / total) for b in bids]
-    return nu, bids
+            if kept == "a":
+                m = 1.0 - f / f_b
+                f_a *= m if m > 0.0 else 0.5
+            b, b_bids, f_b, kept = nu, bids, f, "a"
+    raise ConvergenceError(f"price search stalled on bracket ({a}, {b})")
 
 
 def waterfill(params: SystemParams, channels) -> WaterfillResult:

@@ -67,6 +67,16 @@ class ExperimentConfig:
             raise DomainError("pathloss_zeta must lie in [2, 5]")
         if not (0.0 < self.d_ap_src < math.inf and 0.0 < self.d_pb_src < math.inf):
             raise DomainError("d_ap_src and d_pb_src must be positive and finite")
+        for name in ("d_ap_src", "d_pb_src"):
+            distance = getattr(self, name)
+            try:
+                loss = pathloss(distance, self.pathloss_zeta)
+            except OverflowError:
+                loss = math.inf
+            if not 0.0 < loss < math.inf:
+                raise DomainError(
+                    f"{name}={distance} gives path loss {loss}, not a positive finite gain"
+                )
         if self.trials < 1 or self.antennas_m < 1 or self.n_pairs < 1:
             raise DomainError("trials, antennas_m and n_pairs must be >= 1")
         if self.protocol not in ("coop", "auction", "both"):

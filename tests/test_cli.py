@@ -143,6 +143,24 @@ class TestConfigErrors:
         assert "config error" in err and field in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            ('{"d_ap_src": 1e-200}', "d_ap_src"),  # path loss overflows
+            ('{"d_pb_src": 1e-200}', "d_pb_src"),
+            ('{"d_ap_src": 1e200}', "d_ap_src"),  # path loss underflows to 0
+        ],
+        ids=["ap-near", "pb-near", "ap-far"],
+    )
+    def test_distance_without_finite_gain(self, capsys, tmp_path, config, field):
+        out = tmp_path / "out"
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(config)
+        assert main(["--config", str(cfg), "sweep", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and field in err and "path loss" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_budget(self, capsys, value):
         assert main(["coop", "--ebtot", value]) == 2

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import math
 
 import mpmath
@@ -8,6 +9,7 @@ import pytest
 from pbwpcn import (
     DomainError,
     PairChannel,
+    SystemParams,
     derive_pair,
     gamma,
     grad_s,
@@ -19,9 +21,19 @@ from pbwpcn import (
 )
 
 from pbwpcn.coop import demand_oracle
-from pbwpcn.experiments import ExperimentConfig, draw_channels, table_params
+from pbwpcn.experiments import (
+    ExperimentConfig,
+    draw_channels,
+    load_paper_instance,
+    table_params,
+)
 
-from conftest import mp_z_minus_1, random_instance, weighted_rate_grid
+from conftest import (
+    convex_solver_welfare,
+    mp_z_minus_1,
+    random_instance,
+    weighted_rate_grid,
+)
 
 GOLDEN_ALPHA = (0.4543, 4.7802, 5.6834)
 GOLDEN_E_LIM = (0.0989, 0.1676, 0.3299)
@@ -368,3 +380,76 @@ class TestWaterfill:
                 res = waterfill(p, channels)
                 assert res.rounds <= 50
                 assert math.fsum(res.e_star) == pytest.approx(p.e_b_tot, rel=1e-10)
+
+
+def defect_a_instance():
+    """Four pairs whose budget is met only across the last ulp of the price."""
+    params = SystemParams(
+        0.0868, 2.372e-12, 0.7506, 8.912, 2.996,
+        weights=(0.002919, 817.2, 0.5323, 1.130), e_b_tot=4.776,
+    )
+    channels = [
+        PairChannel(1.762e-13, 2.517e-6),
+        PairChannel(4.153e-8, 0.02288),
+        PairChannel(1.298e-13, 4.986e-6),
+        PairChannel(2.170e-11, 2.912e-5),
+    ]
+    return params, channels
+
+
+def kkt_residual(params, channels, res):
+    """Worst |grad_s(e) - nu| / nu over pairs above their knee."""
+    worst = 0.0
+    for ch, w, e in zip(channels, params.weights, res.e_star):
+        d = derive_pair(params, ch, w)
+        if d.e_lim < e:
+            worst = max(worst, abs(grad_s(params, ch, d, e) - res.nu) / res.nu)
+    return worst
+
+
+class TestPriceStep:
+    def test_defect_a_ulp_split(self):
+        # demand crosses the budget within one ulp of the price; only the
+        # pairs whose demand moves there may absorb the residual
+        params, channels = defect_a_instance()
+        res = waterfill(params, channels)
+        assert math.fsum(res.e_star) == pytest.approx(params.e_b_tot, rel=1e-12)
+        d1 = derive_pair(params, channels[1], params.weights[1])
+        assert d1.alpha > 1e4 * res.nu
+        assert res.e_star[1] == pytest.approx(d1.e_opt, rel=1e-9)
+        assert res.welfare >= convex_solver_welfare(params, channels)
+
+    def test_random_instances_bind_in_few_rounds(self):
+        rng = np.random.default_rng(8)
+        for n in (2, 3, 5, 10, 30, 100):
+            for _ in range(20):
+                params, channels, _ = random_instance(rng, n)
+                res = waterfill(params, channels)
+                assert res.rounds <= math.ceil(math.log2(n)) + 8
+                assert math.fsum(res.e_star) == pytest.approx(
+                    params.e_b_tot, rel=1e-12
+                )
+                assert kkt_residual(params, channels, res) <= 1e-9
+
+    def test_near_cap_instance(self):
+        # its last demand misses the budget by 1.4e-10 just above a cap
+        channels = draw_channels(ExperimentConfig(n_pairs=2, seed=0), 693)
+        res = waterfill(table_params(n_pairs=2, e_b_tot=1.0), channels)
+        assert res.rounds <= 12
+        assert math.fsum(res.e_star) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "instance, reason",
+        [
+            (lambda: load_paper_instance(e_b_tot=1.0), "binds"),
+            (lambda: load_paper_instance(e_b_tot=3.0), "slack"),
+            (defect_a_instance, "ulp"),
+        ],
+        ids=["paper-budget-1", "paper-budget-3", "defect-a"],
+    )
+    def test_logs_why_it_stopped(self, caplog, instance, reason):
+        caplog.set_level(logging.DEBUG, logger="pbwpcn")
+        res = waterfill(*instance())
+        [line] = [r.getMessage() for r in caplog.records if r.name == "pbwpcn"]
+        assert line.startswith(f"price search: rounds={res.rounds} stop={reason} ")
+        assert "bracket=" in line and "budget_residual=" in line
