@@ -6,7 +6,7 @@ harness and Monte Carlo experiment sweeps.
 """
 
 from .model import Allocation, PairChannel, SystemParams, harvested_energy, social_welfare, throughput
-from .roots import RootConfig, lambert_w0, solve_z
+from .roots import lambert_w0, solve_z
 from .coop import (
     PairDerived,
     WaterfillResult,

@@ -67,12 +67,8 @@ def best_response(
     below the cap it demands the point where marginal throughput value equals
     the price.
     """
-    if mu < 0.0:
-        raise DomainError(f"mu must be nonnegative, got {mu}")
-    if mu >= d.alpha:
-        return tau_of_e(params, ch, d, 0.0), 0.0
-    e = gamma(params, ch, d, mu)
-    return e / params.p_pb, e
+    e = 0.0 if mu >= d.alpha else gamma(params, ch, d, mu)
+    return tau_of_e(params, ch, d, e), e
 
 
 def cumulative_clinch(e_b_tot: float, bids, i: int) -> float:
@@ -161,11 +157,9 @@ def clinch(
             f"a price ladder of {t_top + 1} rounds exceeds {MAX_LADDER_ROUNDS}"
         )
     n = len(deriveds)
-    mu_seq, clinch_rows, transcript = [], [], []
+    transcript = []
 
     def record(t, mu, bids, clinched, **close):
-        mu_seq.append(mu)
-        clinch_rows.append(clinched)
         transcript.append(
             {"round": t, "price": mu, "bids": bids, "clinch_cum": clinched, **close}
         )
@@ -184,7 +178,10 @@ def clinch(
         e_final = pay = (0.0,) * n
     else:
         record(t, mu, bids, final_clinch_prr(budget, bids, prev_bids), concluded=True)
-        e_final, pay = clinch_rows[-1], payment(mu_seq, clinch_rows)
+        e_final = transcript[-1]["clinch_cum"]
+        pay = payment(
+            [row["price"] for row in transcript], [row["clinch_cum"] for row in transcript]
+        )
     return _outcome(
         params, channels, deriveds, e_final, pay, t + 1, prev_bids is None, transcript
     )

@@ -16,7 +16,7 @@ import os
 import sys
 
 from .auction import AuctionConfig, run_auction
-from .coop import derive_pair, waterfill
+from .coop import derive_pairs, waterfill
 from .errors import ConvergenceError, DomainError, ProtocolError
 from .experiments import (
     ExperimentConfig,
@@ -89,7 +89,7 @@ def _multiset_close(computed, golden, rtol=1e-3) -> bool:
 
 def cmd_paper_instance(args, config) -> int:
     params, channels = load_paper_instance()
-    deriveds = [derive_pair(params, ch, w) for ch, w in zip(channels, params.weights)]
+    deriveds = derive_pairs(params, channels)
     alphas = [d.alpha for d in deriveds]
     e_lims = [d.e_lim for d in deriveds]
     e_opts = [d.e_opt for d in deriveds]

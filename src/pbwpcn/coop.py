@@ -21,6 +21,9 @@ log = logging.getLogger("pbwpcn")
 
 # relative tolerance for treating an announced price as equal to a pair's cap
 PRICE_EQ_RTOL = 1e-12
+# x_const (and so a_const <= x_const) must stay below this for the root solver
+# to be trusted; the paper's pairs sit near 41
+_X_CONST_MAX = 1e30
 
 
 @dataclass(frozen=True)
@@ -44,6 +47,11 @@ def derive_pair(params: SystemParams, ch: PairChannel, weight: float) -> PairDer
     a_const = g * g * params.eta * params.p_ap / sig
     x_const = g * params.eta * (params.p_ap * g + params.p_pb * k) / sig
     lam_w = weight * params.bandwidth_mhz
+    if not x_const < _X_CONST_MAX:
+        raise DomainError(
+            f"x_const={x_const} is not below {_X_CONST_MAX}: channel gains "
+            "beyond the root solver's range"
+        )
 
     z_dag = math.exp(lambert_w0((a_const - 1.0) / math.e) + 1.0)
     z_ddag = math.exp(lambert_w0((x_const - 1.0) / math.e) + 1.0)
@@ -120,28 +128,18 @@ def gamma(
 
 
 def respond_to_price(
-    params: SystemParams,
-    ch: PairChannel,
-    d: PairDerived,
-    nu: float,
-    is_marginal: bool = False,
+    params: SystemParams, ch: PairChannel, d: PairDerived, nu: float
 ) -> float:
     """A pair's optimal energy request at the announced dual price.
 
-    At nu exactly equal to the pair's cap the demand set is the whole
-    interval [0, e_lim]; the pair reports e_lim so the coordinator learns
-    the interval.  A one-shot form: the solvers bid through
-    ``demand_oracle`` and never call it.
+    At nu within ``PRICE_EQ_RTOL`` of the pair's cap the demand set is the
+    whole interval [0, e_lim]; the pair reports e_lim so the coordinator
+    learns the interval.  Elsewhere it is ``demand_oracle``'s bid.  A
+    one-shot form: the solvers bid through ``demand_oracle`` and never call it.
     """
-    if nu < 0.0:
-        raise DomainError(f"nu must be nonnegative, got {nu}")
-    if d.alpha == 0.0:
-        return 0.0  # no beacon channel, energy is worthless here
-    if is_marginal or abs(nu - d.alpha) <= PRICE_EQ_RTOL * d.alpha:
+    if d.alpha > 0.0 and abs(nu - d.alpha) <= PRICE_EQ_RTOL * d.alpha:
         return d.e_lim
-    if nu > d.alpha:
-        return 0.0
-    return gamma(params, ch, d, nu)
+    return demand_oracle(params, ch, d)(nu)
 
 
 def demand_oracle(params: SystemParams, ch: PairChannel, d: PairDerived):

@@ -210,29 +210,31 @@ def _csv(rows) -> str:
     return "\n".join(",".join(fmt(v) for v in row) for row in rows) + "\n"
 
 
-def write_sweep_csvs(cfg: ExperimentConfig, records) -> list[str]:
-    """fig5 (per-pair means) and fig6 (welfare) data files."""
-    outdir = cfg.output_path
-    header5 = [
-        "e_b_tot", "mean_e_coop", "mean_e_auction",
-        "mean_tau_coop", "mean_tau_auction", "trials",
-    ]
-    rows5 = [header5] + [
-        [r.e_b_tot, r.mean_e_coop, r.mean_e_auction,
-         r.mean_tau_coop, r.mean_tau_auction, r.trials]
-        for r in records
-    ]
-    header6 = ["e_b_tot", "welfare_coop", "welfare_auction", "welfare_nopb", "trials"]
-    rows6 = [header6] + [
-        [r.e_b_tot, r.welfare_coop, r.welfare_auction, r.welfare_nopb, r.trials]
-        for r in records
-    ]
+def _write_csvs(outdir: str, tables) -> list[str]:
+    """Write each (file name, rows) table under ``outdir``; returns the paths."""
     paths = []
-    for name, rows in (("fig5_means.csv", rows5), ("fig6_welfare.csv", rows6)):
+    for name, rows in tables:
         path = os.path.join(outdir, name)
         _atomic_write(path, _csv(rows))
         paths.append(path)
     return paths
+
+
+# the SweepRecord fields each sweep figure's CSV holds, in column order
+_SWEEP_COLUMNS = (
+    ("fig5_means.csv", ("e_b_tot", "mean_e_coop", "mean_e_auction",
+                        "mean_tau_coop", "mean_tau_auction", "trials")),
+    ("fig6_welfare.csv", ("e_b_tot", "welfare_coop", "welfare_auction",
+                          "welfare_nopb", "trials")),
+)
+
+
+def write_sweep_csvs(cfg: ExperimentConfig, records) -> list[str]:
+    """fig5 (per-pair means) and fig6 (welfare) data files."""
+    return _write_csvs(cfg.output_path, [
+        (name, [list(cols)] + [[getattr(r, c) for c in cols] for r in records])
+        for name, cols in _SWEEP_COLUMNS
+    ])
 
 
 def write_instance_csvs(outdir: str, budget_grid=None) -> list[str]:
@@ -267,13 +269,8 @@ def write_instance_csvs(outdir: str, budget_grid=None) -> list[str]:
         rows4e.append([budget] + list(res.e_star) + list(e_fin))
         rows4t.append([budget] + list(res.tau_star) + list(tau_fin))
 
-    paths = []
-    for name, rows in (
+    return _write_csvs(outdir, [
         ("fig3_convergence.csv", rows3),
         ("fig4_energy.csv", rows4e),
         ("fig4_time.csv", rows4t),
-    ):
-        path = os.path.join(outdir, name)
-        _atomic_write(path, _csv(rows))
-        paths.append(path)
-    return paths
+    ])

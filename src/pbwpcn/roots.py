@@ -9,35 +9,16 @@ principal branch of the Lambert W function is its Y = 0 case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
 
 _BRANCH_POINT = -1.0 / math.e
+# solve_z stops once |residual| <= _ABS_TOL * (X - Y); _MAX_ITER Newton steps at most
+_ABS_TOL = 1e-12
+_MAX_ITER = 100
 
 
-@dataclass(frozen=True)
-class RootConfig:
-    """Stopping rule of ``solve_z``.
-
-    abs_tol  : bound on |residual| relative to X - Y
-    max_iter : Newton steps before giving up
-    """
-
-    abs_tol: float = 1e-12
-    max_iter: int = 100
-
-    def __post_init__(self):
-        if self.abs_tol <= 0.0:
-            raise DomainError("abs_tol must be positive")
-        if self.max_iter < 1:
-            raise DomainError("max_iter must be at least 1")
-
-
-DEFAULT_CONFIG = RootConfig()
-
-
-def lambert_w0(x: float, cfg: RootConfig = DEFAULT_CONFIG) -> float:
+def lambert_w0(x: float) -> float:
     """Principal branch W(x): the w >= -1 with w * exp(w) = x.
 
     Defined for x >= -1/e.  With z = exp(w + 1), w * exp(w) = x becomes
@@ -51,7 +32,7 @@ def lambert_w0(x: float, cfg: RootConfig = DEFAULT_CONFIG) -> float:
     a = math.e * x + 1.0
     if a <= 0.0:
         return -1.0
-    return math.log(solve_z(a, 0.0, cfg)) - 1.0
+    return math.log(solve_z(a, 0.0)) - 1.0
 
 
 def _h(u: float) -> float:
@@ -68,7 +49,6 @@ def _h(u: float) -> float:
 def solve_z(
     x_target: float,
     y_coef: float,
-    cfg: RootConfig = DEFAULT_CONFIG,
     z_hint: float | None = None,
 ) -> float:
     """Unique root z > 1 of  z*ln(z) + (y_coef - 1)*z + 1 = x_target.
@@ -93,8 +73,8 @@ def solve_z(
     else:
         u = math.sqrt(2.0 * d) if d < 1.0 else d / math.log1p(d)
 
-    tol = cfg.abs_tol * d
-    for _ in range(cfg.max_iter):
+    tol = _ABS_TOL * d
+    for _ in range(_MAX_ITER):
         resid = _h(u) + y_coef * u - d
         if resid > 0.0:
             hi = u

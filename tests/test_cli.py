@@ -132,6 +132,10 @@ class TestConfigErrors:
             ('{"d_ap_src": NaN}', "d_ap_src"),
             ('{"e_b_tot_grid": [NaN]}', "e_b_tot_grid"),
             ('{"trials": true}', "trials"),
+            # finite path losses whose pairs' x_const is not below 1e30
+            ('{"d_ap_src": 1e-150}', "x_const"),
+            ('{"d_pb_src": 1e-150}', "x_const"),
+            ('{"d_pb_src": 1e-60}', "x_const"),
         ],
     )
     def test_bad_sweep_config(self, capsys, tmp_path, config, field):

@@ -10,6 +10,7 @@ from pbwpcn import (
     DomainError,
     PairChannel,
     SystemParams,
+    best_response,
     derive_pair,
     gamma,
     grad_s,
@@ -20,7 +21,7 @@ from pbwpcn import (
     waterfill,
 )
 
-from pbwpcn.coop import demand_oracle
+from pbwpcn.coop import demand_oracle, derive_pairs
 from pbwpcn.experiments import (
     ExperimentConfig,
     draw_channels,
@@ -95,6 +96,14 @@ class TestDerivePair:
             alphas.append(d.alpha)
         assert all(b < a for a, b in zip(alphas, alphas[1:]))
         assert alphas[-1] < 1e-6 * alphas[0]
+
+    def test_gains_beyond_solver_range(self, paper):
+        # x_const = g*eta*(p_ap*g + p_pb*k)/sigma^2 must stay below 1e30
+        params, _ = paper
+        assert derive_pair(params, PairChannel(3e9, 1.0), 10.0).x_const < 1e30
+        for g in (1e10, 1e200):  # x_const 5e30, and inf
+            with pytest.raises(DomainError, match="x_const"):
+                derive_pair(params, PairChannel(g, 1.0), 10.0)
 
 
 class TestTauOfE:
@@ -269,7 +278,6 @@ class TestRespondToPrice:
         d = derive_pair(params, ch, 10.0)
         assert respond_to_price(params, ch, d, 2.0 * d.alpha) == 0.0
         assert respond_to_price(params, ch, d, d.alpha) == d.e_lim
-        assert respond_to_price(params, ch, d, d.alpha, is_marginal=True) == d.e_lim
         low = respond_to_price(params, ch, d, 0.5 * d.alpha)
         assert d.e_lim < low < d.e_opt
         assert respond_to_price(params, ch, d, 0.0) == pytest.approx(d.e_opt, rel=1e-10)
@@ -279,6 +287,22 @@ class TestRespondToPrice:
         d = derive_pair(params, channels[0], 10.0)
         with pytest.raises(DomainError):
             respond_to_price(params, channels[0], d, -1.0)
+
+    @pytest.mark.parametrize("f", [0.0, 0.5, 0.999, 1.0 - 1e-9, 1.0, 1.0 + 1e-13, 1.5])
+    def test_one_shot_forms_match_the_oracle(self, paper, f):
+        # at f*alpha both one-shot forms are bit-equal to a fresh oracle's bid,
+        # except that respond_to_price reports e_lim within 1e-12 of the cap
+        rng = np.random.default_rng(19)
+        params, channels = paper
+        cases = [(params, channels, derive_pairs(params, channels))]
+        cases += [random_instance(rng, 1) for _ in range(20)]
+        for params, channels, ds in cases:
+            for ch, d in zip(channels, ds):
+                nu = f * d.alpha
+                e = demand_oracle(params, ch, d)(nu)
+                at_cap = f in (1.0, 1.0 + 1e-13)
+                assert respond_to_price(params, ch, d, nu) == (d.e_lim if at_cap else e)
+                assert best_response(params, ch, d, nu) == (tau_of_e(params, ch, d, e), e)
 
 
 class TestWaterfill:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import lambertw as scipy_lambertw
 
-from pbwpcn import DomainError, RootConfig, lambert_w0, solve_z
+from pbwpcn import DomainError, lambert_w0, solve_z
 
 from conftest import mp_z_minus_1
 
@@ -52,12 +52,6 @@ class TestLambertW0:
             x = -1.0 / math.e + offset
             expected = float(scipy_lambertw(x).real)
             assert lambert_w0(x) == pytest.approx(expected, rel=1e-7, abs=1e-7)
-
-    def test_config_validation(self):
-        with pytest.raises(DomainError):
-            RootConfig(abs_tol=0.0)
-        with pytest.raises(DomainError):
-            RootConfig(max_iter=0)
 
 
 class TestSolveZ:
@@ -120,7 +114,6 @@ class TestSolveZ:
             assert abs((z - 1.0) - expected) <= 1e-12 * expected + math.ulp(z), (x, y)
 
     def test_residual_tolerance(self):
-        cfg = RootConfig(abs_tol=1e-13, max_iter=200)
-        z = solve_z(7.3, 1.2, cfg)
+        z = solve_z(7.3, 1.2)
         resid = z * math.log(z) + (1.2 - 1.0) * z + 1.0 - 7.3
         assert abs(resid) <= 1e-13 * (1.0 + 7.3)
