@@ -71,14 +71,14 @@ def best_response(
     return tau_of_e(params, ch, d, e), e
 
 
-def cumulative_clinch(e_b_tot: float, bids, i: int) -> float:
-    """Energy bidder i is guaranteed: supply the others cannot absorb."""
-    if not 0 <= i < len(bids):
-        raise DomainError(f"bidder index {i} out of range")
+def cumulative_clinch(e_b_tot: float, bids) -> list[float]:
+    """Energy each bidder is guaranteed: supply the others cannot absorb."""
     if any(b < 0.0 for b in bids):
         raise DomainError("bids must be nonnegative")
-    others = math.fsum(b for j, b in enumerate(bids) if j != i)
-    return max(0.0, e_b_tot - others)
+    return [
+        max(0.0, e_b_tot - math.fsum(bids[:i] + bids[i + 1:]))
+        for i in range(len(bids))
+    ]
 
 
 def payment(mu_sequence, clinch_sequence) -> list[float]:
@@ -156,7 +156,6 @@ def clinch(
         raise DomainError(
             f"a price ladder of {t_top + 1} rounds exceeds {MAX_LADDER_ROUNDS}"
         )
-    n = len(deriveds)
     transcript = []
 
     def record(t, mu, bids, clinched, **close):
@@ -170,12 +169,12 @@ def clinch(
         bids = bids_at(mu, t)
         if math.fsum(bids) <= budget:
             break
-        record(t, mu, bids, [cumulative_clinch(budget, bids, i) for i in range(n)])
+        record(t, mu, bids, cumulative_clinch(budget, bids))
         prev_bids = bids
     if prev_bids is None:
         # demand never exceeds supply at the reserve price: no trade
         transcript.append({"round": 0, "price": mu, "bids": bids, "quit": True})
-        e_final = pay = (0.0,) * n
+        e_final = pay = (0.0,) * len(deriveds)
     else:
         record(t, mu, bids, final_clinch_prr(budget, bids, prev_bids), concluded=True)
         e_final = transcript[-1]["clinch_cum"]

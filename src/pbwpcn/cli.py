@@ -42,7 +42,6 @@ _CONFIG_KEYS = {
     "trials": int,
     "seed": int,
     "e_b_tot_grid": list,
-    "protocol": str,
     "output_path": str,
     "reserve_price": (int, float),
     "price_step": (int, float),
@@ -108,9 +107,14 @@ def cmd_paper_instance(args, config) -> int:
     return 0
 
 
+def _setting(flag, config, key, name=None) -> dict:
+    """``{name: flag}``, else the config's ``key``, else {} for the callee's default."""
+    value = flag if flag is not None else config.get(key)
+    return {} if value is None else {name or key: value}
+
+
 def cmd_coop(args, config) -> int:
-    ebtot = args.ebtot if args.ebtot is not None else config.get("e_b_tot", 1.0)
-    params, channels = load_paper_instance(e_b_tot=ebtot)
+    params, channels = load_paper_instance(**_setting(args.ebtot, config, "e_b_tot"))
     res = waterfill(params, channels)
     print(f"nu [utility/Joule]: {res.nu:.6f}")
     print("E* [Joule]        :", " ".join(f"{e:.6f}" for e in res.e_star))
@@ -121,14 +125,14 @@ def cmd_coop(args, config) -> int:
 
 
 def _auction_cfg(args, config) -> AuctionConfig:
-    mu0 = args.mu0 if args.mu0 is not None else config.get("reserve_price", 0.001)
-    delta = args.delta if args.delta is not None else config.get("price_step", 0.01)
-    return AuctionConfig(reserve_price=mu0, step=delta)
+    return AuctionConfig(
+        **_setting(args.mu0, config, "reserve_price"),
+        **_setting(args.delta, config, "price_step", "step"),
+    )
 
 
 def cmd_auction(args, config) -> int:
-    ebtot = args.ebtot if args.ebtot is not None else config.get("e_b_tot", 1.0)
-    params, channels = load_paper_instance(e_b_tot=ebtot)
+    params, channels = load_paper_instance(**_setting(args.ebtot, config, "e_b_tot"))
     outcome = run_auction(params, channels, _auction_cfg(args, config))
     if outcome.pb_quit:
         print("beacon quit the trade (aggregate demand within budget at reserve)")
@@ -145,8 +149,7 @@ def cmd_auction(args, config) -> int:
 
 
 def cmd_protocol(args, config) -> int:
-    ebtot = args.ebtot if args.ebtot is not None else config.get("e_b_tot", 1.0)
-    params, channels = load_paper_instance(e_b_tot=ebtot)
+    params, channels = load_paper_instance(**_setting(args.ebtot, config, "e_b_tot"))
     pb_view, ap_views = make_views(params, channels)
     if args.which == "coop":
         result, bus = run_coop_protocol(pb_view, ap_views)
@@ -169,10 +172,8 @@ def cmd_protocol(args, config) -> int:
 def cmd_sweep(args, config) -> int:
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     kwargs = {k: v for k, v in config.items() if k in fields}
-    if args.trials is not None:
-        kwargs["trials"] = args.trials
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
+    kwargs.update(_setting(args.trials, config, "trials"))
+    kwargs.update(_setting(args.seed, config, "seed"))
     outdir = args.out or kwargs.get("output_path") or "out"
     kwargs["output_path"] = outdir
     cfg = ExperimentConfig(**kwargs)
@@ -199,19 +200,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ebtot", type=float, help="beacon energy budget [Joule]")
     p.set_defaults(func=cmd_coop)
 
-    p = sub.add_parser("auction", help="clinching auction on the fixed instance")
-    p.add_argument("--ebtot", type=float)
-    p.add_argument("--delta", type=float, help="price step")
-    p.add_argument("--mu0", type=float, help="reserve price")
-    p.add_argument("--out", help="output directory for the transcript")
+    ladder = argparse.ArgumentParser(add_help=False)
+    ladder.add_argument("--ebtot", type=float, help="beacon energy budget [Joule]")
+    ladder.add_argument("--delta", type=float, help="price step")
+    ladder.add_argument("--mu0", type=float, help="reserve price")
+    ladder.add_argument("--out", help="output directory for the transcript")
+
+    p = sub.add_parser("auction", parents=[ladder],
+                       help="clinching auction on the fixed instance")
     p.set_defaults(func=cmd_auction)
 
-    p = sub.add_parser("protocol", help="run the message-passing harness")
+    p = sub.add_parser("protocol", parents=[ladder],
+                       help="run the message-passing harness")
     p.add_argument("--which", choices=("coop", "auction"), default="coop")
-    p.add_argument("--ebtot", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--mu0", type=float)
-    p.add_argument("--out", help="output directory for the transcript")
     p.set_defaults(func=cmd_protocol)
 
     p = sub.add_parser("sweep", help="Monte Carlo sweep, CSV outputs")

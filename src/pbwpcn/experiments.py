@@ -13,6 +13,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
+from statistics import fmean
 
 import numpy as np
 
@@ -57,10 +58,9 @@ class ExperimentConfig:
     trials: int = 1000
     seed: int = 0
     e_b_tot_grid: tuple[float, ...] = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0)
-    protocol: str = "both"  # coop | auction | both
     output_path: str | None = None
-    reserve_price: float = 0.001
-    price_step: float = 0.01
+    reserve_price: float = AuctionConfig.reserve_price
+    price_step: float = AuctionConfig.step
 
     def __post_init__(self):
         if not 2.0 <= self.pathloss_zeta <= 5.0:
@@ -79,8 +79,6 @@ class ExperimentConfig:
                 )
         if self.trials < 1 or self.antennas_m < 1 or self.n_pairs < 1:
             raise DomainError("trials, antennas_m and n_pairs must be >= 1")
-        if self.protocol not in ("coop", "auction", "both"):
-            raise DomainError(f"unknown protocol {self.protocol!r}")
         if any(not 0.0 <= e < math.inf for e in self.e_b_tot_grid):
             raise DomainError("e_b_tot_grid entries must be nonnegative and finite")
 
@@ -119,64 +117,53 @@ class SweepRecord:
     trials: int
 
 
+def _welfare(params: SystemParams, channels, taus, energies) -> float:
+    """Weighted sum-throughput of an allocation."""
+    return math.fsum(
+        w * throughput(params, ch, t, e)
+        for w, ch, t, e in zip(params.weights, channels, taus, energies)
+    )
+
+
 def _nopb_welfare(params: SystemParams, channels) -> float:
     """Welfare when the beacon stays silent; it does not depend on the budget."""
     deriveds = [derive_pair(params, ch, w) for ch, w in zip(channels, params.weights)]
-    return math.fsum(
-        w * throughput(params, ch, tau_of_e(params, ch, d, 0.0), 0.0)
-        for w, ch, d in zip(params.weights, channels, deriveds)
-    )
+    taus = [tau_of_e(params, ch, d, 0.0) for ch, d in zip(channels, deriveds)]
+    return _welfare(params, channels, taus, [0.0] * len(channels))
 
 
 def sweep(cfg: ExperimentConfig) -> list[SweepRecord]:
     """Monte Carlo means over the budget grid; writes CSVs when configured."""
     base = table_params(n_pairs=cfg.n_pairs)
     auc_cfg = AuctionConfig(reserve_price=cfg.reserve_price, step=cfg.price_step)
-    run_coop = cfg.protocol in ("coop", "both")
-    run_auc = cfg.protocol in ("auction", "both")
-
     all_channels = [draw_channels(cfg, t) for t in range(cfg.trials)]
-    w_nopb = [_nopb_welfare(base, channels) for channels in all_channels]
+    welfare_nopb = fmean([_nopb_welfare(base, channels) for channels in all_channels])
     records = []
     for budget in cfg.e_b_tot_grid:
         params = dataclasses.replace(base, e_b_tot=budget)
         e_coop, e_auc, t_coop, t_auc = [], [], [], []
         w_coop, w_auc = [], []
         for channels in all_channels:
-            if run_coop:
-                res = waterfill(params, channels)
-                e_coop.extend(res.e_star)
-                t_coop.extend(res.tau_star)
-                w_coop.append(res.welfare)
-            if run_auc:
-                e_fin, tau_fin, _, _ = auction_allocation(params, channels, auc_cfg)
-                e_auc.extend(e_fin)
-                t_auc.extend(tau_fin)
-                # payments cancel between bidders and the auctioneer, so the
-                # aggregate welfare is just the weighted sum-throughput
-                w_auc.append(
-                    math.fsum(
-                        w * throughput(params, ch, t, e)
-                        for w, ch, t, e in zip(
-                            params.weights, channels, tau_fin, e_fin
-                        )
-                    )
-                )
-        def mean(values):
-            if not values:
-                return float("nan")
-            return math.fsum(values) / len(values)
-
+            res = waterfill(params, channels)
+            e_coop.extend(res.e_star)
+            t_coop.extend(res.tau_star)
+            w_coop.append(res.welfare)
+            e_fin, tau_fin, _, _ = auction_allocation(params, channels, auc_cfg)
+            e_auc.extend(e_fin)
+            t_auc.extend(tau_fin)
+            # payments cancel between bidders and the auctioneer, so the
+            # aggregate welfare is just the weighted sum-throughput
+            w_auc.append(_welfare(params, channels, tau_fin, e_fin))
         records.append(
             SweepRecord(
                 e_b_tot=budget,
-                mean_e_coop=mean(e_coop),
-                mean_e_auction=mean(e_auc),
-                mean_tau_coop=mean(t_coop),
-                mean_tau_auction=mean(t_auc),
-                welfare_coop=mean(w_coop),
-                welfare_auction=mean(w_auc),
-                welfare_nopb=mean(w_nopb),
+                mean_e_coop=fmean(e_coop),
+                mean_e_auction=fmean(e_auc),
+                mean_tau_coop=fmean(t_coop),
+                mean_tau_auction=fmean(t_auc),
+                welfare_coop=fmean(w_coop),
+                welfare_auction=fmean(w_auc),
+                welfare_nopb=welfare_nopb,
                 trials=cfg.trials,
             )
         )
@@ -237,12 +224,13 @@ def write_sweep_csvs(cfg: ExperimentConfig, records) -> list[str]:
     ])
 
 
-def write_instance_csvs(outdir: str, budget_grid=None) -> list[str]:
+# the fig4 budgets: 0 to 3.4 J in steps of 0.2 J
+_FIG4_BUDGETS = tuple(round(0.2 * k, 10) for k in range(0, 18))
+
+
+def write_instance_csvs(outdir: str) -> list[str]:
     """fig3 (convergence traces) and fig4 (allocation vs budget) data files
     for the fixed 3-pair instance."""
-    if budget_grid is None:
-        budget_grid = [round(0.2 * k, 10) for k in range(0, 18)]
-
     params, channels = load_paper_instance(e_b_tot=1.0)
     auc_cfg = AuctionConfig()
 
@@ -262,7 +250,7 @@ def write_instance_csvs(outdir: str, budget_grid=None) -> list[str]:
 
     rows4e = [["e_b_tot"] + [f"e_coop_{i+1}" for i in range(n)] + [f"e_auction_{i+1}" for i in range(n)]]
     rows4t = [["e_b_tot"] + [f"tau_coop_{i+1}" for i in range(n)] + [f"tau_auction_{i+1}" for i in range(n)]]
-    for budget in budget_grid:
+    for budget in _FIG4_BUDGETS:
         p = dataclasses.replace(params, e_b_tot=budget)
         res = waterfill(p, channels)
         e_fin, tau_fin, _, _ = auction_allocation(p, channels, auc_cfg)

@@ -75,19 +75,38 @@ class TestBestResponse:
 
 class TestCumulativeClinch:
     def test_no_scarcity(self):
-        assert cumulative_clinch(10.0, [1.0, 2.0, 3.0], 0) == 5.0
+        assert cumulative_clinch(10.0, [1.0, 2.0, 3.0]) == [5.0, 6.0, 7.0]
 
     def test_others_absorb_everything(self):
-        assert cumulative_clinch(1.0, [0.5, 0.8, 0.9], 0) == 0.0
+        assert cumulative_clinch(1.0, [0.5, 0.8, 0.9]) == [0.0, 0.0, 0.0]
 
     def test_single_bidder(self):
-        assert cumulative_clinch(1.0, [0.4], 0) == 1.0
+        assert cumulative_clinch(1.0, [0.4]) == [1.0]
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            cumulative_clinch(1.0, [0.5, -0.1], 0)
-        with pytest.raises(DomainError):
-            cumulative_clinch(1.0, [0.5], 3)
+            cumulative_clinch(1.0, [0.5, -0.1])
+
+    def test_each_entry_is_the_clinch_rule(self):
+        # entry i is the supply bidder i's rivals cannot absorb, with the
+        # rivals' bids summed correctly rounded; budgets fall on both sides
+        # of the aggregate bid, and some bids are zero as at a ladder top
+        rng = np.random.default_rng(23)
+        for n in range(1, 9):
+            for _ in range(20):
+                bids = [float(b) for b in rng.exponential(size=n)]
+                bids[int(rng.integers(n))] *= float(rng.integers(2))
+                total = math.fsum(bids)
+                others = [
+                    math.fsum(b for j, b in enumerate(bids) if j != i) for i in range(n)
+                ]
+                for budget in map(float, total * rng.uniform(0.0, 2.0, size=4)):
+                    expected = [max(0.0, budget - o) for o in others]
+                    assert cumulative_clinch(budget, bids) == expected
+                bad = list(bids)
+                bad[int(rng.integers(n))] = -float(rng.uniform(1e-300, 1.0))
+                with pytest.raises(DomainError):
+                    cumulative_clinch(total, bad)
 
 
 class TestFinalClinchPrr:

@@ -1,4 +1,5 @@
 import json
+import math
 import time
 
 import pytest
@@ -83,6 +84,49 @@ class TestSweep:
         ).read_bytes()
 
 
+class TestConfigPrecedence:
+    # a config file's value reaches the command unless the matching flag is given
+    CONFIG = {"e_b_tot": 0.5, "reserve_price": 0.02, "price_step": 0.03}
+
+    def run(self, tmp_path, argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self.CONFIG))
+        assert main(["--config", str(cfg), *argv]) == 0
+
+    @pytest.mark.parametrize("flags, budget", [([], 0.5), (["--ebtot", "0.7"], 0.7)])
+    def test_coop(self, capsys, tmp_path, flags, budget):
+        self.run(tmp_path, ["coop", *flags])
+        out = capsys.readouterr().out
+        sum_line = next(l for l in out.splitlines() if l.startswith("sum E*"))
+        assert float(sum_line.split(":")[1]) == pytest.approx(budget, abs=1e-9)
+
+    @pytest.mark.parametrize("command", [["auction"], ["protocol", "--which", "auction"]])
+    @pytest.mark.parametrize(
+        "flags, budget, mu0, step",
+        [
+            ([], 0.5, 0.02, 0.03),
+            (["--ebtot", "0.7"], 0.7, 0.02, 0.03),
+            (["--mu0", "0.004"], 0.5, 0.004, 0.03),
+            (["--delta", "0.05"], 0.5, 0.02, 0.05),
+        ],
+    )
+    def test_auction(self, capsys, tmp_path, command, flags, budget, mu0, step):
+        self.run(tmp_path, [*command, *flags, "--out", str(tmp_path)])
+        if command == ["auction"]:
+            text = (tmp_path / "auction_transcript.jsonl").read_text()
+            rows = [json.loads(line) for line in text.splitlines()]
+            prices = [row["price"] for row in rows]
+            allocated = rows[-1]["clinch_cum"]
+        else:
+            text = (tmp_path / "protocol_auction.jsonl").read_text()
+            msgs = [json.loads(line) for line in text.splitlines()]
+            prices = [m["payload"] for m in msgs if m["kind"] == "PriceAnnounce"]
+            prices = list(dict.fromkeys(prices))
+            allocated = [m["payload"] for m in msgs if m["kind"] == "FinalAllocation"]
+        assert prices[:2] == [mu0, mu0 + step]
+        assert math.fsum(allocated) == pytest.approx(budget, rel=1e-12)
+
+
 class TestLadderTooLong:
     # a step of 1e-9 gives a ladder of about 5.7e9 rounds on the paper instance
     @pytest.mark.parametrize(
@@ -118,6 +162,14 @@ class TestConfigErrors:
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"banana": 1}))
         assert main(["--config", str(cfg), "coop"]) == 2
+
+    def test_protocol_is_not_a_config_field(self, capsys, tmp_path):
+        out = tmp_path / "out"
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"protocol": "coop"}))
+        assert main(["--config", str(cfg), "sweep", "--out", str(out)]) == 2
+        assert "protocol" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_wrong_type(self, capsys, tmp_path):
         cfg = tmp_path / "bad.json"
