@@ -17,11 +17,11 @@ from .errors import DomainError
 from .model import PairChannel, SystemParams, throughput
 from .coop import (
     PairDerived,
-    crossing_search,
     derive_pairs,
     final_clinch_prr,
     gamma,
     pooled_bids,
+    price_search,
     tau_of_e,
 )
 
@@ -193,33 +193,45 @@ def run_auction(params: SystemParams, channels, cfg: AuctionConfig) -> AuctionOu
     return clinch(params, channels, deriveds, params.e_b_tot, bids_at, cfg)
 
 
-def auction_allocation(params: SystemParams, channels, cfg: AuctionConfig):
-    """Fast path to the final allocation only (no transcript, no payments).
+def ladder_close(params, channels, deriveds, nu, bids_at, t_top, cfg, transcript=()):
+    """Close the auction at the first ladder round priced at or above ``nu``.
 
-    Demand is nonincreasing in the price, so the closing round is the first
-    ladder index where aggregate demand drops to the budget; binary search
-    finds it without walking every round.  Returns
-    (e_final, tau_final, pb_quit, rounds_used).
+    Both mechanisms share one demand, so the water-filling price locates the
+    close; single steps keep it exact from any ``nu``.  ``bids_at(mu, t)``
+    gathers round ``t``'s bids unless the search's ``transcript`` holds them.
     """
-    deriveds = derive_pairs(params, channels)
-    budget = params.e_b_tot
-    pooled = pooled_bids(params, channels, deriveds)
+    gathered = {row["nu"]: row["bids"] for row in transcript if "bids" in row}
 
-    def bids_at(t):
-        return pooled(cfg.reserve_price + t * cfg.step, t)
+    def bids(t):
+        mu = cfg.reserve_price + t * cfg.step
+        if mu not in gathered:
+            gathered[mu] = bids_at(mu, t)
+        return gathered[mu]
 
-    first = bids_at(0)
-    if math.fsum(first) <= budget:
-        e_final, pb_quit, rounds_used = (0.0,) * len(deriveds), True, 1
-    else:
-        # every bid is zero at the ladder top; the closing round is the
-        # first index where demand falls to the budget
-        _, prev, hi, last = crossing_search(
-            bids_at, budget, 0, first, ladder_top(deriveds, cfg), [0.0] * len(deriveds)
-        )
-        e_final = tuple(final_clinch_prr(budget, last, prev))
-        pb_quit, rounds_used = False, hi + 1
+    # every bid is zero at the ladder top, so demand there never exceeds the budget
+    t = math.ceil(min(max((nu - cfg.reserve_price) / cfg.step, 0.0), t_top))
+    while t < t_top and math.fsum(bids(t)) > params.e_b_tot:
+        t += 1
+    while t > 0 and math.fsum(bids(t - 1)) <= params.e_b_tot:
+        t -= 1
+    e_final = (0.0,) * len(deriveds)  # t == 0: supply meets demand at the reserve
+    if t > 0:
+        e_final = tuple(final_clinch_prr(params.e_b_tot, bids(t), bids(t - 1)))
     tau_final = tuple(
         tau_of_e(params, ch, d, e) for ch, d, e in zip(channels, deriveds, e_final)
     )
-    return e_final, tau_final, pb_quit, rounds_used
+    return e_final, tau_final, t == 0, t + 1
+
+
+def auction_allocation(params: SystemParams, channels, cfg: AuctionConfig):
+    """Fast path to the final allocation only (no transcript, no payments).
+
+    Price search, then round up to the ladder (``ladder_close``).  Returns
+    (e_final, tau_final, pb_quit, rounds_used).
+    """
+    deriveds = derive_pairs(params, channels)
+    t_top = ladder_top(deriveds, cfg)  # a bad ladder fails before any bid
+    bids_at = pooled_bids(params, channels, deriveds)
+    transcript: list = []
+    nu, _, _ = price_search(deriveds, params.e_b_tot, bids_at, transcript)
+    return ladder_close(params, channels, deriveds, nu, bids_at, t_top, cfg, transcript)

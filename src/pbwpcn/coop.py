@@ -169,24 +169,6 @@ def pooled_bids(params: SystemParams, channels, deriveds):
     return lambda price, r: [bid(price) for bid in bids]
 
 
-def crossing_search(bids_at, budget, lo, lo_bids, hi, hi_bids):
-    """Narrow an index bracket on a nonincreasing demand to adjacent indices.
-
-    ``bids_at(t)`` gathers every bid at index ``t``; aggregate demand at
-    ``lo`` exceeds the budget and at ``hi`` it does not.  Binary search keeps
-    that invariant until ``hi == lo + 1``; returns (lo, lo_bids, hi, hi_bids)
-    so that no index is gathered twice.
-    """
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        bids = bids_at(mid)
-        if math.fsum(bids) > budget:
-            lo, lo_bids = mid, bids
-        else:
-            hi, hi_bids = mid, bids
-    return lo, lo_bids, hi, hi_bids
-
-
 def final_clinch_prr(e_b_tot: float, bids_last, bids_prev) -> list[float]:
     """Split a budget between two demand vectors that straddle it.
 
@@ -282,9 +264,14 @@ def price_search(deriveds, e_b_tot, bids_at, transcript):
     bids = announce(0.0)
     if math.fsum(bids) <= e_b_tot:
         return stop(0.0, list(bids), "slack")
-    lo, lo_bids, hi, bids = crossing_search(
-        lambda t: announce(prices[t]), e_b_tot, 0, bids, len(groups), [0.0] * n
-    )
+    lo, lo_bids, hi, bids = 0, bids, len(groups), [0.0] * n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        mid_bids = announce(prices[mid])
+        if math.fsum(mid_bids) > e_b_tot:
+            lo, lo_bids = mid, mid_bids
+        else:
+            hi, bids = mid, mid_bids
     group = groups[hi - 1]
     lim_sum = math.fsum(deriveds[i].e_lim for i in group)
     residual = e_b_tot - math.fsum(bids)

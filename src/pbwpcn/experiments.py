@@ -17,8 +17,11 @@ from statistics import fmean
 
 import numpy as np
 
-from .auction import AuctionConfig, auction_allocation, run_auction
-from .coop import derive_pair, tau_of_e, waterfill
+from .auction import AuctionConfig, ladder_close, ladder_top, run_auction
+from .coop import (  # derive_pair stays bound here: perfbench's tests restore it
+    derive_pair, derive_pairs, pooled_bids, price_search, tau_of_e, waterfill,
+    waterfill_result,
+)
 from .errors import DomainError
 from .model import PairChannel, SystemParams, throughput
 
@@ -125,30 +128,43 @@ def _welfare(params: SystemParams, channels, taus, energies) -> float:
     )
 
 
-def _nopb_welfare(params: SystemParams, channels) -> float:
+def _nopb_welfare(params: SystemParams, channels, deriveds) -> float:
     """Welfare when the beacon stays silent; it does not depend on the budget."""
-    deriveds = [derive_pair(params, ch, w) for ch, w in zip(channels, params.weights)]
     taus = [tau_of_e(params, ch, d, 0.0) for ch, d in zip(channels, deriveds)]
     return _welfare(params, channels, taus, [0.0] * len(channels))
+
+
+def _both_mechanisms(params: SystemParams, channels, deriveds, auc_cfg):
+    """(WaterfillResult, auction e_final, tau_final) from one price search."""
+    t_top = ladder_top(deriveds, auc_cfg)
+    bids_at = pooled_bids(params, channels, deriveds)
+    transcript: list = []
+    nu, e_star, rounds = price_search(deriveds, params.e_b_tot, bids_at, transcript)
+    res = waterfill_result(params, channels, deriveds, nu, e_star, rounds, transcript)
+    e_fin, tau_fin, _, _ = ladder_close(
+        params, channels, deriveds, nu, bids_at, t_top, auc_cfg, transcript
+    )
+    return res, e_fin, tau_fin
 
 
 def sweep(cfg: ExperimentConfig) -> list[SweepRecord]:
     """Monte Carlo means over the budget grid; writes CSVs when configured."""
     base = table_params(n_pairs=cfg.n_pairs)
     auc_cfg = AuctionConfig(reserve_price=cfg.reserve_price, step=cfg.price_step)
+    # derived constants do not depend on the budget: one table per trial
     all_channels = [draw_channels(cfg, t) for t in range(cfg.trials)]
-    welfare_nopb = fmean([_nopb_welfare(base, channels) for channels in all_channels])
+    trials = [(channels, derive_pairs(base, channels)) for channels in all_channels]
+    welfare_nopb = fmean([_nopb_welfare(base, *trial) for trial in trials])
     records = []
     for budget in cfg.e_b_tot_grid:
         params = dataclasses.replace(base, e_b_tot=budget)
         e_coop, e_auc, t_coop, t_auc = [], [], [], []
         w_coop, w_auc = [], []
-        for channels in all_channels:
-            res = waterfill(params, channels)
+        for channels, deriveds in trials:
+            res, e_fin, tau_fin = _both_mechanisms(params, channels, deriveds, auc_cfg)
             e_coop.extend(res.e_star)
             t_coop.extend(res.tau_star)
             w_coop.append(res.welfare)
-            e_fin, tau_fin, _, _ = auction_allocation(params, channels, auc_cfg)
             e_auc.extend(e_fin)
             t_auc.extend(tau_fin)
             # payments cancel between bidders and the auctioneer, so the
@@ -250,10 +266,10 @@ def write_instance_csvs(outdir: str) -> list[str]:
 
     rows4e = [["e_b_tot"] + [f"e_coop_{i+1}" for i in range(n)] + [f"e_auction_{i+1}" for i in range(n)]]
     rows4t = [["e_b_tot"] + [f"tau_coop_{i+1}" for i in range(n)] + [f"tau_auction_{i+1}" for i in range(n)]]
+    deriveds = derive_pairs(params, channels)
     for budget in _FIG4_BUDGETS:
         p = dataclasses.replace(params, e_b_tot=budget)
-        res = waterfill(p, channels)
-        e_fin, tau_fin, _, _ = auction_allocation(p, channels, auc_cfg)
+        res, e_fin, tau_fin = _both_mechanisms(p, channels, deriveds, auc_cfg)
         rows4e.append([budget] + list(res.e_star) + list(e_fin))
         rows4t.append([budget] + list(res.tau_star) + list(tau_fin))
 

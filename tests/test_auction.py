@@ -340,11 +340,58 @@ class TestAuctionAllocation:
             params, channels, _ = random_instance(rng, int(rng.integers(2, 5)))
             cfg = AuctionConfig(step=float(rng.uniform(0.005, 0.05)))
             cases.append((params, channels, cfg))
+        # a zero reserve prices ladder round 0 like the search's first round;
+        # near-slack budgets put the close at round 0 or 1
+        params, channels = paper
+        cases.append((params, channels, AuctionConfig(reserve_price=0.0)))
+        cases.append((dataclasses.replace(params, e_b_tot=5.0), channels,
+                      AuctionConfig(reserve_price=0.0)))
+        for _ in range(15):
+            params, channels, _ = random_instance(
+                rng, int(rng.integers(2, 5)), budget_frac=float(rng.uniform(0.9, 1.0))
+            )
+            cfg = AuctionConfig(reserve_price=0.0, step=float(rng.uniform(0.005, 0.05)))
+            cases.append((params, channels, cfg))
         for params, channels, cfg in cases:
             calls.clear()
             auction_allocation(params, channels, cfg)
             assert calls
             assert len(set(calls)) == len(calls)
+
+
+class TestLadderClose:
+    def test_walk_recovers_the_close_from_any_price(self, paper):
+        # the safeguard steps find the walk's closing round from a price
+        # that is off by whole ladder steps, at zero, or above every cap
+        rng = np.random.default_rng(31)
+        params, channels = paper
+        instances = [
+            (params, channels, AuctionConfig()),
+            (params, channels, AuctionConfig(reserve_price=0.0, step=0.02)),
+            (dataclasses.replace(params, e_b_tot=5.0), channels, AuctionConfig()),
+        ]
+        for _ in range(6):
+            params, channels, _ = random_instance(rng, int(rng.integers(2, 5)))
+            instances.append(
+                (params, channels, AuctionConfig(step=float(rng.uniform(0.005, 0.05))))
+            )
+        for params, channels, cfg in instances:
+            full = run_auction(params, channels, cfg)
+            ds = coop.derive_pairs(params, channels)
+            t_top = auction.ladder_top(ds, cfg)
+            nu_star = waterfill(params, channels).nu
+            alpha_max = max(d.alpha for d in ds)
+            prices = [nu_star + k * cfg.step for k in (-3, -1, 1, 3)]
+            prices += [0.0, alpha_max, cfg.reserve_price + (t_top + 5) * cfg.step]
+            for nu in prices:
+                bids_at = coop.pooled_bids(params, channels, ds)
+                e_fin, tau_fin, quit_, rounds = auction.ladder_close(
+                    params, channels, ds, nu, bids_at, t_top, cfg
+                )
+                assert quit_ == full.pb_quit
+                assert rounds == full.rounds_used
+                assert e_fin == pytest.approx(full.e_final, rel=1e-12)
+                assert tau_fin == pytest.approx(full.tau_final, rel=1e-12)
 
 
 class TestLadderLength:

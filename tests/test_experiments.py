@@ -1,17 +1,30 @@
 import dataclasses
+import math
 import os
+from statistics import fmean
 
 import numpy as np
 import pytest
 
 from pbwpcn import (
+    AuctionConfig,
     DomainError,
     ExperimentConfig,
+    auction_allocation,
+    derive_pair,
     draw_channels,
     load_paper_instance,
     sweep,
+    tau_of_e,
+    throughput,
+    waterfill,
 )
-from pbwpcn.experiments import pathloss, write_instance_csvs, write_sweep_csvs
+from pbwpcn.experiments import (
+    pathloss,
+    table_params,
+    write_instance_csvs,
+    write_sweep_csvs,
+)
 
 
 class TestConfig:
@@ -112,6 +125,47 @@ class TestSweep:
         records = sweep(ExperimentConfig(**self.CFG))
         coop = [r.welfare_coop for r in records]
         assert all(b >= a - 1e-9 for a, b in zip(coop, coop[1:]))
+
+    def test_records_match_per_trial_solves(self):
+        # one derived table and one price search per (trial, budget) serve
+        # both mechanisms; each record equals the per-trial public solves
+        cfg = ExperimentConfig(trials=5, seed=3, e_b_tot_grid=(0.0, 0.7, 3.0))
+        base = table_params(n_pairs=cfg.n_pairs)
+        auc_cfg = AuctionConfig(reserve_price=cfg.reserve_price, step=cfg.price_step)
+        trials = [draw_channels(cfg, t) for t in range(cfg.trials)]
+
+        def welfare(params, channels, taus, energies):
+            return math.fsum(
+                w * throughput(params, ch, t, e)
+                for w, ch, t, e in zip(params.weights, channels, taus, energies)
+            )
+
+        nopb = []
+        for channels in trials:
+            taus = [tau_of_e(base, ch, derive_pair(base, ch, w), 0.0)
+                    for ch, w in zip(channels, base.weights)]
+            nopb.append(welfare(base, channels, taus, [0.0] * len(channels)))
+        records = sweep(cfg)
+        assert [r.e_b_tot for r in records] == list(cfg.e_b_tot_grid)
+        for r in records:
+            params = dataclasses.replace(base, e_b_tot=r.e_b_tot)
+            coop = [waterfill(params, channels) for channels in trials]
+            assert r.mean_e_coop == fmean([e for res in coop for e in res.e_star])
+            assert r.mean_tau_coop == fmean([t for res in coop for t in res.tau_star])
+            assert r.welfare_coop == fmean([res.welfare for res in coop])
+            assert r.welfare_nopb == fmean(nopb)
+            assert r.trials == cfg.trials
+            auc = [auction_allocation(params, channels, auc_cfg) for channels in trials]
+            assert r.mean_e_auction == pytest.approx(
+                fmean([e for a in auc for e in a[0]]), rel=1e-12, abs=1e-300
+            )
+            assert r.mean_tau_auction == pytest.approx(
+                fmean([t for a in auc for t in a[1]]), rel=1e-12
+            )
+            assert r.welfare_auction == pytest.approx(
+                fmean([welfare(params, ch, a[1], a[0]) for ch, a in zip(trials, auc)]),
+                rel=1e-12,
+            )
 
     def test_reproducible(self):
         a = sweep(ExperimentConfig(**self.CFG))
