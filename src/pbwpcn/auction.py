@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import DomainError
@@ -29,6 +30,8 @@ from .coop import (
 # longest price ladder the walk climbs; a longer one is a configuration error,
 # since the walk keeps a transcript row per round
 MAX_LADDER_ROUNDS = 10_000_000
+# margin of cumulative_clinch's screen, relative to the bids' total
+_SCREEN_EPS = 4.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -72,12 +75,26 @@ def best_response(
 
 
 def cumulative_clinch(e_b_tot: float, bids) -> list[float]:
-    """Energy each bidder is guaranteed: supply the others cannot absorb."""
+    """Energy each bidder is guaranteed: supply the others cannot absorb.
+
+    The rivals are summed exactly only where they might not absorb the budget.
+    """
     if any(b < 0.0 for b in bids):
         raise DomainError("bids must be nonnegative")
+    total = math.fsum(bids)
+    # Screen.  With T the exact sum, R_i = T - b_i the rivals' exact sum and
+    # u = eps/2: fsum rounds correctly, so |total - T| <= u*T <= eps*total, and
+    # the rounded total - b_i is within u*total of its exact value.  Hence
+    # R_i >= (total - b_i) - 1.5*eps*total.  A float above the rounded cut lies
+    # above its exact value, so if total - b_i > cut then R_i > e_b_tot +
+    # 2.5*eps*total >= e_b_tot, and fsum(rivals), correctly rounded, is >=
+    # e_b_tot: max(0.0, e_b_tot - fsum(rivals)) is +0.0, as returned here.
+    # Subnormal sums and differences are exact, and the 2.5*eps*total slack
+    # covers the product's rounding there.  NaN and inf take the exact path.
+    cut = e_b_tot + _SCREEN_EPS * total
     return [
-        max(0.0, e_b_tot - math.fsum(bids[:i] + bids[i + 1:]))
-        for i in range(len(bids))
+        0.0 if total - b > cut else max(0.0, e_b_tot - math.fsum(bids[:i] + bids[i + 1:]))
+        for i, b in enumerate(bids)
     ]
 
 

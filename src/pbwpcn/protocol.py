@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
+from typing import NamedTuple
 
 from .auction import AuctionConfig, AuctionOutcome, clinch
 from .coop import (
@@ -37,8 +38,9 @@ class MessageKind(Enum):
     QUIT = "Quit"
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
+    """One immutable message; a named tuple is the cheapest record to build."""
+
     kind: MessageKind
     sender: int
     receiver: int
@@ -110,14 +112,31 @@ class APAgent:
         self.bid = demand_oracle(view.params, view.channel, self.derived)
 
 
+def _shared_params(ap_views) -> SystemParams:
+    """The one ``SystemParams`` that every AP view holds.
+
+    Rejects an empty view list, repeated agent ids and views whose params
+    differ, any of which would otherwise skew the outcome silently.
+    """
+    if not ap_views:
+        raise DomainError("the protocol needs at least one AP view")
+    params = ap_views[0].params
+    if any(v.params is not params and v.params != params for v in ap_views):
+        raise DomainError("every AP view must hold the same system params")
+    if len({v.agent_id for v in ap_views}) != len(ap_views):
+        raise DomainError("AP agent ids must be distinct")
+    return params
+
+
 def _bid_round(bus: Bus, agents, price: float, r: int) -> list[float]:
     """One round: announce the bare price to every AP and collect its bid."""
+    send, announce, bid_kind = bus.send, MessageKind.PRICE_ANNOUNCE, MessageKind.BID
     bids = []
     for agent in agents:
         aid = agent.view.agent_id
-        bus.send(Message(MessageKind.PRICE_ANNOUNCE, PB_ID, aid, price, r))
+        send(Message(announce, PB_ID, aid, price, r))
         bid = agent.bid(price)
-        bus.send(Message(MessageKind.BID, aid, PB_ID, bid, r))
+        send(Message(bid_kind, aid, PB_ID, bid, r))
         bids.append(bid)
     return bids
 
@@ -126,9 +145,9 @@ def run_coop_protocol(
     pb_view: PBView, ap_views: list[APView]
 ) -> tuple[WaterfillResult, Bus]:
     """Water-filling price search executed as explicit message rounds."""
+    params = _shared_params(ap_views)
     bus = Bus()
     agents = [APAgent(v) for v in ap_views]
-    params = ap_views[0].params
     channels = [v.channel for v in ap_views]
 
     # setup round: every AP reports its cap and knee to the beacon
@@ -154,9 +173,9 @@ def run_auction_protocol(
     pb_view: PBView, ap_views: list[APView], cfg: AuctionConfig
 ) -> tuple[AuctionOutcome, Bus]:
     """Ascending clinching auction executed as explicit message rounds."""
+    params = _shared_params(ap_views)
     bus = Bus()
     agents = [APAgent(v) for v in ap_views]
-    params = ap_views[0].params
     channels = [v.channel for v in ap_views]
     deriveds = [a.derived for a in agents]
     bids_at = partial(_bid_round, bus, agents)

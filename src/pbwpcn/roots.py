@@ -35,17 +35,6 @@ def lambert_w0(x: float) -> float:
     return math.log(solve_z(a, 0.0)) - 1.0
 
 
-def _h(u: float) -> float:
-    """(1 + u)*log1p(u) - u, by its series sum_{k>=2} (-u)^k/(k(k-1)) below 1e-2.
-
-    The closed form cancels for small u; eight series terms reach round-off.
-    """
-    if u < 1e-2:
-        return u * u * (1 / 2 - u * (1 / 6 - u * (1 / 12 - u * (1 / 20 - u * (
-            1 / 30 - u * (1 / 42 - u * (1 / 56 - u / 72)))))))
-    return (1.0 + u) * math.log1p(u) - u
-
-
 def solve_z(
     x_target: float,
     y_coef: float,
@@ -75,12 +64,20 @@ def solve_z(
 
     tol = _ABS_TOL * d
     for _ in range(_MAX_ITER):
-        resid = _h(u) + y_coef * u - d
+        log1p_u = math.log1p(u)
+        if u < 1e-2:
+            # h by its series sum_{k>=2} (-u)^k/(k(k-1)): the closed form
+            # cancels for small u; eight terms reach round-off
+            h = u * u * (1 / 2 - u * (1 / 6 - u * (1 / 12 - u * (1 / 20 - u * (
+                1 / 30 - u * (1 / 42 - u * (1 / 56 - u / 72)))))))
+        else:
+            h = (1.0 + u) * log1p_u - u
+        resid = h + y_coef * u - d
         if resid > 0.0:
             hi = u
         else:
             lo = u
-        u_new = u - resid / (math.log1p(u) + y_coef)
+        u_new = u - resid / (log1p_u + y_coef)
         if abs(resid) <= tol:
             # one last Newton step leaves the error quadratic in the residual
             return 1.0 + u_new

@@ -108,6 +108,42 @@ class TestCumulativeClinch:
                 with pytest.raises(DomainError):
                     cumulative_clinch(total, bad)
 
+    def test_screen_boundary(self):
+        # budgets at each rival sum, 1-4 ulps either side of it, and within
+        # 4 ulps of the total either side, where a screen that ignored the
+        # rounding of total - b_i would go wrong; a dominant bid makes
+        # total - b_i cancel, and repr tells a -0.0 from 0.0
+        tiny = 1.5 * 2.0**-53  # 1 + tiny rounds up to 1 + 2**-52
+        cases = [
+            [1.0, tiny],
+            [1.0, tiny, tiny],
+            [1e16, 1.0, 3.0, 0.5],
+            [1e16, 0.0, 1.0],
+            # the rounded total - b_1 lies 0.5*eps*total above the float just
+            # past the rivals' rounded sum
+            [1.3560061484696735, 1.8926172348456938, 0.7536392093654576],
+            [0.1, 0.2, 0.3],
+            [0.1, 0.2, 0.3, 0.0],
+            [0.0, 0.0, 0.7],
+            [0.0, 0.0],
+            [2.5],
+            [5e-324, 1e-310, 0.0],
+        ]
+        for bids in cases:
+            others = [math.fsum(bids[:i] + bids[i + 1:]) for i in range(len(bids))]
+            total_ulp = math.ulp(math.fsum(bids))
+            for rivals in others:
+                budgets = {rivals + j * total_ulp / 16 for j in range(-64, 65)}
+                for direction in (-math.inf, math.inf):
+                    b = rivals
+                    for _ in range(4):
+                        b = math.nextafter(b, direction)
+                        budgets.add(b)
+                for budget in budgets:
+                    expected = [repr(max(0.0, budget - o)) for o in others]
+                    got = cumulative_clinch(budget, bids)
+                    assert [repr(e) for e in got] == expected, (bids, budget)
+
 
 class TestFinalClinchPrr:
     def test_hand_example(self):

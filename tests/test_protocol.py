@@ -16,7 +16,7 @@ from pbwpcn import (
     run_coop_protocol,
     waterfill,
 )
-from pbwpcn.protocol import PB_ID, Bus, Message, MessageKind
+from pbwpcn.protocol import PB_ID, Bus, Message, MessageKind, PBView
 
 from conftest import random_instance
 
@@ -53,6 +53,41 @@ class TestBus:
             "payload": 1.25,
             "round": 0,
         }
+
+    def test_message_is_immutable(self):
+        msg = Message(MessageKind.BID, 1, PB_ID, 0.5, 0)
+        for name in ("kind", "sender", "receiver", "payload", "round"):
+            with pytest.raises(AttributeError):
+                setattr(msg, name, None)
+        assert msg == Message(MessageKind.BID, 1, PB_ID, 0.5, 0)
+
+    def test_golden_lines(self):
+        golden = [
+            (Message(MessageKind.PRICE_ANNOUNCE, PB_ID, 1, 0.125, 3),
+             '{"kind": "PriceAnnounce", "sender": 0, "receiver": 1, '
+             '"payload": 0.125, "round": 3}'),
+            (Message(MessageKind.ALPHA_REPORT, 2, PB_ID, 1.25, 0),
+             '{"kind": "AlphaReport", "sender": 2, "receiver": 0, '
+             '"payload": 1.25, "round": 0}'),
+            (Message(MessageKind.ELIM_REPORT, 3, PB_ID, 0.1, 0),
+             '{"kind": "ElimReport", "sender": 3, "receiver": 0, '
+             '"payload": 0.1, "round": 0}'),
+            (Message(MessageKind.BID, 1, PB_ID, 0.0, 7),
+             '{"kind": "Bid", "sender": 1, "receiver": 0, '
+             '"payload": 0.0, "round": 7}'),
+            (Message(MessageKind.FINAL_ALLOCATION, PB_ID, 2, 1e-05, 8),
+             '{"kind": "FinalAllocation", "sender": 0, "receiver": 2, '
+             '"payload": 1e-05, "round": 8}'),
+            (Message(MessageKind.QUIT, PB_ID, 3, 0.001, 1),
+             '{"kind": "Quit", "sender": 0, "receiver": 3, '
+             '"payload": 0.001, "round": 1}'),
+        ]
+        assert [m.kind for m, _ in golden] == list(MessageKind)
+        bus = Bus()
+        for msg, line in golden:
+            assert json.dumps(msg.to_record()) == line
+            bus.send(msg)
+        assert bus.transcript_jsonl() == "\n".join(line for _, line in golden)
 
 
 class TestCoopProtocol:
@@ -228,3 +263,39 @@ def test_channels_and_weights_sizes_must_match(paper, n_channels, solve):
     channels = (channels * 2)[:n_channels]
     with pytest.raises(DomainError, match="sizes differ"):
         solve(params, channels)
+
+
+PROTOCOLS = [
+    pytest.param(run_coop_protocol, id="coop_protocol"),
+    pytest.param(lambda pb, aps: run_auction_protocol(pb, aps, AuctionConfig()),
+                 id="auction_protocol"),
+]
+
+
+@pytest.mark.parametrize("run", PROTOCOLS)
+class TestProtocolInputs:
+    def test_no_views(self, run):
+        with pytest.raises(DomainError, match="at least one AP view"):
+            run(PBView(1.0), [])
+
+    def test_duplicate_agent_ids(self, paper, run):
+        pb, aps = make_views(*paper)
+        aps[2] = dataclasses.replace(aps[2], agent_id=aps[0].agent_id)
+        with pytest.raises(DomainError, match="agent ids must be distinct"):
+            run(pb, aps)
+
+    def test_differing_params(self, paper, run):
+        params, channels = paper
+        pb, aps = make_views(params, channels)
+        other = dataclasses.replace(params, p_ap=2.0 * params.p_ap)
+        aps[1] = dataclasses.replace(aps[1], params=other)
+        with pytest.raises(DomainError, match="same system params"):
+            run(pb, aps)
+
+    def test_equal_params_need_not_be_one_object(self, paper, run):
+        params, channels = paper
+        pb, aps = make_views(params, channels)
+        expected, _ = run(pb, aps)
+        aps[1] = dataclasses.replace(aps[1], params=dataclasses.replace(params))
+        got, _ = run(pb, aps)
+        assert got == expected
