@@ -39,7 +39,7 @@ class MessageKind(Enum):
 
 
 class Message(NamedTuple):
-    """One immutable message; a named tuple is the cheapest record to build."""
+    """One immutable message, as ``Bus.transcript`` lists it."""
 
     kind: MessageKind
     sender: int
@@ -57,18 +57,51 @@ class Message(NamedTuple):
         }
 
 
+class BidRound(NamedTuple):
+    """One bid round as the bus logs it: the price announced to each AP and its bid."""
+
+    price: float
+    round: int
+    agent_ids: tuple[int, ...]
+    bids: tuple[float, ...]
+
+
 class Bus:
-    """Synchronous-round bus: append-only transcript, no AP-to-AP delivery."""
+    """Synchronous-round bus: one append-only log, no AP-to-AP delivery.
+
+    The log holds single messages and whole bid rounds; ``transcript``
+    expands it into messages only when it is read.
+    """
 
     def __init__(self):
-        self.transcript: list[Message] = []
+        self._log: list[Message | BidRound] = []
 
     def send(self, msg: Message) -> None:
         if msg.sender != PB_ID and msg.receiver != PB_ID:
             raise ProtocolError(
                 f"AP {msg.sender} may not message AP {msg.receiver} directly"
             )
-        self.transcript.append(msg)
+        self._log.append(msg)
+
+    def log_round(self, price: float, r: int, agent_ids, bids) -> None:
+        """Log round ``r``: ``price`` went to each of ``agent_ids``, which answered ``bids``."""
+        self._log.append(BidRound(price, r, tuple(agent_ids), tuple(bids)))
+
+    @property
+    def transcript(self) -> list[Message]:
+        """Every message in send order: a bid round is a price announcement
+        then a bid, AP by AP.  A fresh list on each read."""
+        announce, bid_kind = MessageKind.PRICE_ANNOUNCE, MessageKind.BID
+        out = []
+        for entry in self._log:
+            if type(entry) is not BidRound:
+                out.append(entry)
+                continue
+            price, r, agent_ids, bids = entry
+            for aid, bid in zip(agent_ids, bids):
+                out.append(Message(announce, PB_ID, aid, price, r))
+                out.append(Message(bid_kind, aid, PB_ID, bid, r))
+        return out
 
     def transcript_jsonl(self) -> str:
         return "\n".join(json.dumps(m.to_record()) for m in self.transcript)
@@ -115,30 +148,44 @@ class APAgent:
 def _shared_params(ap_views) -> SystemParams:
     """The one ``SystemParams`` that every AP view holds.
 
-    Rejects an empty view list, repeated agent ids and views whose params
-    differ, any of which would otherwise skew the outcome silently.
+    Rejects an empty view list, views whose params differ, a view count
+    other than the params' pair count, an AP holding the beacon's id,
+    repeated agent ids and a view whose weight is not the params' weight at
+    its position; any of these would otherwise skew the outcome silently.
     """
     if not ap_views:
         raise DomainError("the protocol needs at least one AP view")
     params = ap_views[0].params
     if any(v.params is not params and v.params != params for v in ap_views):
         raise DomainError("every AP view must hold the same system params")
-    if len({v.agent_id for v in ap_views}) != len(ap_views):
+    if len(ap_views) != params.n_pairs:
+        raise DomainError(
+            f"AP views ({len(ap_views)}) and weights ({params.n_pairs}) sizes differ"
+        )
+    ids = [v.agent_id for v in ap_views]
+    if PB_ID in ids:
+        raise DomainError(f"AP agent ids must differ from the beacon's id {PB_ID}")
+    if len(set(ids)) != len(ids):
         raise DomainError("AP agent ids must be distinct")
+    for i, (v, w) in enumerate(zip(ap_views, params.weights)):
+        if v.weight != w:
+            raise DomainError(
+                f"AP view {i} has weight {v.weight}, params.weights[{i}] is {w}"
+            )
     return params
 
 
-def _bid_round(bus: Bus, agents, price: float, r: int) -> list[float]:
+def _bid_round(bus: Bus, oracles, agent_ids, price: float, r: int) -> list[float]:
     """One round: announce the bare price to every AP and collect its bid."""
-    send, announce, bid_kind = bus.send, MessageKind.PRICE_ANNOUNCE, MessageKind.BID
-    bids = []
-    for agent in agents:
-        aid = agent.view.agent_id
-        send(Message(announce, PB_ID, aid, price, r))
-        bid = agent.bid(price)
-        send(Message(bid_kind, aid, PB_ID, bid, r))
-        bids.append(bid)
+    bids = [bid(price) for bid in oracles]
+    bus.log_round(price, r, agent_ids, bids)
     return bids
+
+
+def _round_runner(bus: Bus, agents):
+    """``bids_at(price, r)`` over the bus, with the oracles and ids bound once."""
+    agent_ids = tuple(a.view.agent_id for a in agents)
+    return partial(_bid_round, bus, [a.bid for a in agents], agent_ids)
 
 
 def run_coop_protocol(
@@ -158,7 +205,7 @@ def run_coop_protocol(
 
     deriveds = [a.derived for a in agents]
     events: list = []
-    bids_at = partial(_bid_round, bus, agents)
+    bids_at = _round_runner(bus, agents)
     nu, e_star, rounds = price_search(deriveds, pb_view.e_b_tot, bids_at, events)
 
     for agent, e in zip(agents, e_star):
@@ -178,7 +225,7 @@ def run_auction_protocol(
     agents = [APAgent(v) for v in ap_views]
     channels = [v.channel for v in ap_views]
     deriveds = [a.derived for a in agents]
-    bids_at = partial(_bid_round, bus, agents)
+    bids_at = _round_runner(bus, agents)
     outcome = clinch(params, channels, deriveds, pb_view.e_b_tot, bids_at, cfg)
 
     # one closing message per AP: a quit carries the reserve price, a trade

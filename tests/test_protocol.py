@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from pbwpcn import (
     DomainError,
     ProtocolError,
     auction_allocation,
+    derive_pair,
     make_views,
     run_auction,
     run_auction_protocol,
@@ -292,6 +295,24 @@ class TestProtocolInputs:
         with pytest.raises(DomainError, match="same system params"):
             run(pb, aps)
 
+    def test_too_few_views(self, paper, run):
+        pb, aps = make_views(*paper)
+        with pytest.raises(DomainError, match="sizes differ"):
+            run(pb, aps[:2])
+
+    def test_ap_with_the_beacon_id(self, paper, run):
+        pb, aps = make_views(*paper)
+        aps[1] = dataclasses.replace(aps[1], agent_id=PB_ID)
+        with pytest.raises(DomainError, match="beacon's id"):
+            run(pb, aps)
+
+    def test_weight_differs_from_params(self, paper, run):
+        # the AP would bid for one weight and be valued at another
+        pb, aps = make_views(*paper)
+        aps[0] = dataclasses.replace(aps[0], weight=10 * aps[0].weight)
+        with pytest.raises(DomainError, match=r"params.weights\[0\]"):
+            run(pb, aps)
+
     def test_equal_params_need_not_be_one_object(self, paper, run):
         params, channels = paper
         pb, aps = make_views(params, channels)
@@ -299,3 +320,86 @@ class TestProtocolInputs:
         aps[1] = dataclasses.replace(aps[1], params=dataclasses.replace(params))
         got, _ = run(pb, aps)
         assert got == expected
+
+
+def _bid_rounds(aps, rows, price_key):
+    """One announce/bid pair per AP for each bid row, in AP order."""
+    out = []
+    for row in rows:
+        r = row["round"]
+        for i, ap in enumerate(aps):
+            out.append(Message(MessageKind.PRICE_ANNOUNCE, PB_ID, ap.agent_id, row[price_key], r))
+            out.append(Message(MessageKind.BID, ap.agent_id, PB_ID, row["bids"][i], r))
+    return out
+
+
+def expected_coop_transcript(aps, result):
+    """2N reports, the search's bid rounds, then N final allocations."""
+    out = []
+    for ap in aps:
+        d = derive_pair(ap.params, ap.channel, ap.weight)
+        out.append(Message(MessageKind.ALPHA_REPORT, ap.agent_id, PB_ID, d.alpha, 0))
+        out.append(Message(MessageKind.ELIM_REPORT, ap.agent_id, PB_ID, d.e_lim, 0))
+    out += _bid_rounds(aps, [row for row in result.transcript if "round" in row], "nu")
+    out += [
+        Message(MessageKind.FINAL_ALLOCATION, PB_ID, ap.agent_id, e, result.rounds + 1)
+        for ap, e in zip(aps, result.e_star)
+    ]
+    return out
+
+
+def expected_auction_transcript(aps, outcome, cfg):
+    """The ladder's bid rounds, then N closing messages."""
+    out = _bid_rounds(aps, outcome.transcript, "price")
+    kind = MessageKind.QUIT if outcome.pb_quit else MessageKind.FINAL_ALLOCATION
+    for ap, e in zip(aps, outcome.e_final):
+        payload = cfg.reserve_price if outcome.pb_quit else e
+        out.append(Message(kind, PB_ID, ap.agent_id, payload, outcome.rounds_used))
+    return out
+
+
+def test_transcript_rebuilt_from_outcome_rows(paper):
+    # the bus transcript, expanded on read, is exactly the message sequence
+    # that the outcome's own rows imply
+    rng = np.random.default_rng(34)
+    params, channels = paper
+    slack = dataclasses.replace(params, e_b_tot=3.0)
+    cases = [(params, channels, AuctionConfig()), (slack, channels, AuctionConfig())]
+    for _ in range(10):
+        params, channels, _ = random_instance(rng, int(rng.integers(1, 6)))
+        cases.append((params, channels, AuctionConfig(step=0.02)))
+    for params, channels, cfg in cases:
+        pb, aps = make_views(params, channels)
+        result, bus = run_coop_protocol(pb, aps)
+        assert bus.transcript == expected_coop_transcript(aps, result)
+        outcome, bus = run_auction_protocol(pb, aps, cfg)
+        expected = expected_auction_transcript(aps, outcome, cfg)
+        read = bus.transcript
+        assert read == expected
+        read.append(read[0])
+        assert bus.transcript == expected
+
+
+def _held_per_round(run):
+    """Bytes still allocated after ``run()`` while its result is alive, per round."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = run()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    outcome = result[0] if isinstance(result, tuple) else result
+    return held / outcome.rounds_used
+
+
+def test_protocol_memory_per_round_near_pooled(paper):
+    # the bus keeps one entry per bid round, not two messages per AP
+    params, channels = paper
+    cfg = AuctionConfig(step=1e-3)
+    pooled = _held_per_round(lambda: run_auction(params, channels, cfg))
+    proto = _held_per_round(
+        lambda: run_auction_protocol(*make_views(params, channels), cfg)
+    )
+    assert proto <= pooled + 250.0
