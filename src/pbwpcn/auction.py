@@ -12,7 +12,9 @@ from __future__ import annotations
 import json
 import math
 import sys
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain, pairwise
 
 from .errors import DomainError
 from .model import PairChannel, SystemParams, throughput
@@ -28,7 +30,7 @@ from .coop import (
 
 
 # longest price ladder the walk climbs; a longer one is a configuration error,
-# since the walk keeps a transcript row per round
+# since the walk keeps every round in its log
 MAX_LADDER_ROUNDS = 10_000_000
 # margin of cumulative_clinch's screen, relative to the bids' total
 _SCREEN_EPS = 4.0 * sys.float_info.epsilon
@@ -46,6 +48,39 @@ class AuctionConfig:
             raise DomainError("step must be positive and finite")
 
 
+def _doubles() -> array:
+    return array("d")
+
+
+@dataclass(frozen=True)
+class LadderLog:
+    """Every walked round as packed doubles; round ``t`` is entry ``t``.
+
+    ``prices`` holds one price per round; ``bids`` and ``clinched`` hold
+    ``n`` entries per round, the bids and the cumulative clinches.  The last
+    round is the close.  A quit walks round 0 only and clinches nothing.
+    """
+
+    n: int = 0
+    prices: array = field(default_factory=_doubles)
+    bids: array = field(default_factory=_doubles)
+    clinched: array = field(default_factory=_doubles)
+    quit: bool = False
+
+    def rows(self):
+        """The transcript rows, one dict per round, built as they are iterated."""
+        n, last = self.n, len(self.prices) - 1
+        for t, mu in enumerate(self.prices):
+            row = {"round": t, "price": mu, "bids": self.bids[t * n:(t + 1) * n].tolist()}
+            if self.quit:
+                row["quit"] = True
+            else:
+                row["clinch_cum"] = self.clinched[t * n:(t + 1) * n].tolist()
+                if t == last:
+                    row["concluded"] = True
+            yield row
+
+
 @dataclass
 class AuctionOutcome:
     e_final: tuple[float, ...]
@@ -55,10 +90,15 @@ class AuctionOutcome:
     pb_utility: float
     rounds_used: int
     pb_quit: bool
-    transcript: list = field(default_factory=list)
+    log: LadderLog = field(default_factory=LadderLog)
+
+    @property
+    def transcript(self) -> list[dict]:
+        """One row per round, rebuilt from ``log``: a fresh list on each read."""
+        return list(self.log.rows())
 
     def transcript_jsonl(self) -> str:
-        return "\n".join(json.dumps(row) for row in self.transcript)
+        return "\n".join(json.dumps(row) for row in self.log.rows())
 
 
 def best_response(
@@ -81,7 +121,11 @@ def cumulative_clinch(e_b_tot: float, bids) -> list[float]:
     """
     if any(b < 0.0 for b in bids):
         raise DomainError("bids must be nonnegative")
-    total = math.fsum(bids)
+    return _clinch_vector(e_b_tot, bids, math.fsum(bids))
+
+
+def _clinch_vector(e_b_tot: float, bids, total: float) -> list[float]:
+    """``cumulative_clinch`` of nonnegative ``bids`` whose ``math.fsum`` is ``total``."""
     # Screen.  With T the exact sum, R_i = T - b_i the rivals' exact sum and
     # u = eps/2: fsum rounds correctly, so |total - T| <= u*T <= eps*total, and
     # the rounded total - b_i is within u*total of its exact value.  Hence
@@ -102,22 +146,32 @@ def payment(mu_sequence, clinch_sequence) -> list[float]:
     """Per-bidder payment: each clinch increment priced at its round's price.
 
     ``clinch_sequence`` holds one cumulative-clinch vector per round, aligned
-    with ``mu_sequence``.
+    with ``mu_sequence``; every vector has one entry per bidder.
     """
     if len(mu_sequence) != len(clinch_sequence) or not mu_sequence:
         raise DomainError("price and clinch sequences must align and be non-empty")
     n = len(clinch_sequence[0])
+    if any(len(row) != n for row in clinch_sequence):
+        raise DomainError("every clinch vector must have one entry per bidder")
+    return _payments(mu_sequence, [c for row in clinch_sequence for c in row], n)
+
+
+def _payments(prices, clinched, n: int, start: int = 0) -> list[float]:
+    """``payment`` over ``clinched``, the clinch vectors laid end to end.
+
+    Rounds before ``start`` must clinch nothing: they add +0.0 to every payment.
+    """
+    prices = prices[start:]
     pay = []
     for i in range(n):
-        track = [row[i] for row in clinch_sequence]
-        if any(b > a * (1.0 + 1e-12) + 1e-300 for b, a in zip(track, track[1:])):
+        track = clinched[start * n + i::n]
+        if any(b > a * (1.0 + 1e-12) + 1e-300 for b, a in pairwise(track)):
             raise DomainError(f"clinch sequence for bidder {i} is not nondecreasing")
-        terms = [mu_sequence[0] * track[0]]
-        terms += [
-            mu_sequence[t] * (track[t] - track[t - 1])
-            for t in range(1, len(track))
-        ]
-        pay.append(math.fsum(terms))
+        # the first increment is the first clinch itself; subtracting the
+        # integer 0 leaves every number as it is
+        pay.append(math.fsum(
+            mu * (c - c_prev) for mu, c, c_prev in zip(prices, track, chain((0,), track))
+        ))
     return pay
 
 
@@ -136,9 +190,7 @@ def ladder_top(deriveds, cfg: AuctionConfig) -> int:
     return t_top
 
 
-def _outcome(
-    params, channels, deriveds, e_final, pay, rounds_used, pb_quit, transcript
-) -> AuctionOutcome:
+def _outcome(params, channels, deriveds, e_final, pay, log: LadderLog) -> AuctionOutcome:
     """Charging times and utilities of a final allocation and its payments."""
     tau_final = tuple(
         tau_of_e(params, ch, d, e) for ch, d, e in zip(channels, deriveds, e_final)
@@ -153,10 +205,20 @@ def _outcome(
         payment=tuple(pay),
         ap_utility=ap_util,
         pb_utility=math.fsum(pay),
-        rounds_used=rounds_used,
-        pb_quit=pb_quit,
-        transcript=transcript,
+        rounds_used=len(log.prices),
+        pb_quit=log.quit,
+        log=log,
     )
+
+
+def walk_top(deriveds, cfg: AuctionConfig) -> int:
+    """``ladder_top`` of a ladder short enough for ``clinch`` to walk."""
+    t_top = ladder_top(deriveds, cfg)
+    if t_top + 1 > MAX_LADDER_ROUNDS:
+        raise DomainError(
+            f"a price ladder of {t_top + 1} rounds exceeds {MAX_LADDER_ROUNDS}"
+        )
+    return t_top
 
 
 def clinch(
@@ -164,43 +226,40 @@ def clinch(
 ) -> AuctionOutcome:
     """The ascending clinching auction: the ladder walk, its close and payments.
 
-    ``bids_at(mu, t)`` gathers every bid at ladder round ``t``, priced ``mu``.
-    Only the budget and the gathered bids drive the walk, so the pooled
-    auction and its message-passing protocol differ only in ``bids_at``.
+    ``bids_at(mu, t)`` gathers every (nonnegative) bid at ladder round ``t``,
+    priced ``mu``.  Only the budget and the gathered bids drive the walk, so
+    the pooled auction and its message-passing protocol differ only in
+    ``bids_at``.  Each round goes to a packed ``LadderLog``.
     """
-    t_top = ladder_top(deriveds, cfg)
-    if t_top + 1 > MAX_LADDER_ROUNDS:
-        raise DomainError(
-            f"a price ladder of {t_top + 1} rounds exceeds {MAX_LADDER_ROUNDS}"
-        )
-    transcript = []
-
-    def record(t, mu, bids, clinched, **close):
-        transcript.append(
-            {"round": t, "price": mu, "bids": bids, "clinch_cum": clinched, **close}
-        )
-
+    t_top = walk_top(deriveds, cfg)
+    n = len(deriveds)
+    prices, bid_log, clinched = _doubles(), _doubles(), _doubles()
+    start = None  # the first round that clinches anything
     prev_bids = None
     for t in range(t_top + 1):
         mu = cfg.reserve_price + t * cfg.step
         bids = bids_at(mu, t)
-        if math.fsum(bids) <= budget:
+        total = math.fsum(bids)
+        if total <= budget:
             break
-        record(t, mu, bids, cumulative_clinch(budget, bids))
+        row = _clinch_vector(budget, bids, total)
+        if start is None and any(row):
+            start = t
+        prices.append(mu)
+        bid_log.extend(bids)
+        clinched.extend(row)
         prev_bids = bids
+    prices.append(mu)
+    bid_log.extend(bids)
     if prev_bids is None:
         # demand never exceeds supply at the reserve price: no trade
-        transcript.append({"round": 0, "price": mu, "bids": bids, "quit": True})
-        e_final = pay = (0.0,) * len(deriveds)
+        e_final = pay = (0.0,) * n
     else:
-        record(t, mu, bids, final_clinch_prr(budget, bids, prev_bids), concluded=True)
-        e_final = transcript[-1]["clinch_cum"]
-        pay = payment(
-            [row["price"] for row in transcript], [row["clinch_cum"] for row in transcript]
-        )
-    return _outcome(
-        params, channels, deriveds, e_final, pay, t + 1, prev_bids is None, transcript
-    )
+        e_final = final_clinch_prr(budget, bids, prev_bids)
+        clinched.extend(e_final)
+        pay = _payments(prices, clinched, n, t if start is None else start)
+    log = LadderLog(n, prices, bid_log, clinched, prev_bids is None)
+    return _outcome(params, channels, deriveds, e_final, pay, log)
 
 
 def run_auction(params: SystemParams, channels, cfg: AuctionConfig) -> AuctionOutcome:

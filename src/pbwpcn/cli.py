@@ -15,7 +15,7 @@ import math
 import os
 import sys
 
-from .auction import AuctionConfig, run_auction
+from .auction import AuctionConfig, run_auction, walk_top
 from .coop import derive_pairs, waterfill
 from .errors import ConvergenceError, DomainError, ProtocolError
 from .experiments import (
@@ -177,9 +177,13 @@ def cmd_sweep(args, config) -> int:
     outdir = args.out or kwargs.get("output_path") or "out"
     kwargs["output_path"] = outdir
     cfg = ExperimentConfig(**kwargs)
+    auc_cfg = cfg.auction_config
+    # fig3 walks the sweep's ladder on the fixed instance: one too long to
+    # walk is rejected here, before the sweep writes any CSV
+    walk_top(derive_pairs(*load_paper_instance()), auc_cfg)
     log.info("sweep: %d trials, %d budget points", cfg.trials, len(cfg.e_b_tot_grid))
     records = sweep(cfg)
-    write_instance_csvs(outdir)
+    write_instance_csvs(outdir, auc_cfg)
     print(f"{len(records)} sweep records written under {outdir}")
     return 0
 

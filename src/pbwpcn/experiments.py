@@ -85,6 +85,11 @@ class ExperimentConfig:
         if any(not 0.0 <= e < math.inf for e in self.e_b_tot_grid):
             raise DomainError("e_b_tot_grid entries must be nonnegative and finite")
 
+    @property
+    def auction_config(self) -> AuctionConfig:
+        """The sweep's price ladder."""
+        return AuctionConfig(reserve_price=self.reserve_price, step=self.price_step)
+
 
 def pathloss(distance: float, zeta: float) -> float:
     return 1e-3 * distance ** (-zeta)
@@ -150,7 +155,7 @@ def _both_mechanisms(params: SystemParams, channels, deriveds, auc_cfg):
 def sweep(cfg: ExperimentConfig) -> list[SweepRecord]:
     """Monte Carlo means over the budget grid; writes CSVs when configured."""
     base = table_params(n_pairs=cfg.n_pairs)
-    auc_cfg = AuctionConfig(reserve_price=cfg.reserve_price, step=cfg.price_step)
+    auc_cfg = cfg.auction_config
     # derived constants do not depend on the budget: one table per trial
     all_channels = [draw_channels(cfg, t) for t in range(cfg.trials)]
     trials = [(channels, derive_pairs(base, channels)) for channels in all_channels]
@@ -244,11 +249,10 @@ def write_sweep_csvs(cfg: ExperimentConfig, records) -> list[str]:
 _FIG4_BUDGETS = tuple(round(0.2 * k, 10) for k in range(0, 18))
 
 
-def write_instance_csvs(outdir: str) -> list[str]:
+def write_instance_csvs(outdir: str, auc_cfg: AuctionConfig = AuctionConfig()) -> list[str]:
     """fig3 (convergence traces) and fig4 (allocation vs budget) data files
-    for the fixed 3-pair instance."""
+    for the fixed 3-pair instance, the auction on the ladder ``auc_cfg``."""
     params, channels = load_paper_instance(e_b_tot=1.0)
-    auc_cfg = AuctionConfig()
 
     coop = waterfill(params, channels)
     auction = run_auction(params, channels, auc_cfg)
@@ -258,11 +262,9 @@ def write_instance_csvs(outdir: str) -> list[str]:
         if "round" not in row:
             continue
         rows3.append(["coop", row["round"], row["nu"]] + list(row["bids"]) + [row["agg"]])
-    for row in auction.transcript:
-        bids = row.get("bids", [])
-        rows3.append(
-            ["auction", row["round"], row["price"]] + list(bids) + [math.fsum(bids)]
-        )
+    for row in auction.log.rows():
+        bids = row["bids"]
+        rows3.append(["auction", row["round"], row["price"]] + bids + [math.fsum(bids)])
 
     rows4e = [["e_b_tot"] + [f"e_coop_{i+1}" for i in range(n)] + [f"e_auction_{i+1}" for i in range(n)]]
     rows4t = [["e_b_tot"] + [f"tau_coop_{i+1}" for i in range(n)] + [f"tau_auction_{i+1}" for i in range(n)]]

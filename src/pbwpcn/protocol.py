@@ -10,6 +10,7 @@ available information.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -57,24 +58,25 @@ class Message(NamedTuple):
         }
 
 
-class BidRound(NamedTuple):
-    """One bid round as the bus logs it: the price announced to each AP and its bid."""
+class _BidRounds(NamedTuple):
+    """Consecutive bid rounds to one set of APs, packed: per round a price, a
+    round number and one bid per AP."""
 
-    price: float
-    round: int
     agent_ids: tuple[int, ...]
-    bids: tuple[float, ...]
+    prices: array
+    rounds: array
+    bids: array
 
 
 class Bus:
     """Synchronous-round bus: one append-only log, no AP-to-AP delivery.
 
-    The log holds single messages and whole bid rounds; ``transcript``
-    expands it into messages only when it is read.
+    The log holds single messages and packed runs of bid rounds;
+    ``transcript`` expands it into messages only when it is read.
     """
 
     def __init__(self):
-        self._log: list[Message | BidRound] = []
+        self._log: list[Message | _BidRounds] = []
 
     def send(self, msg: Message) -> None:
         if msg.sender != PB_ID and msg.receiver != PB_ID:
@@ -85,7 +87,16 @@ class Bus:
 
     def log_round(self, price: float, r: int, agent_ids, bids) -> None:
         """Log round ``r``: ``price`` went to each of ``agent_ids``, which answered ``bids``."""
-        self._log.append(BidRound(price, r, tuple(agent_ids), tuple(bids)))
+        agent_ids = tuple(agent_ids)
+        if len(bids) != len(agent_ids):
+            raise ProtocolError(f"round {r}: {len(bids)} bids from {len(agent_ids)} APs")
+        block = self._log[-1] if self._log else None
+        if type(block) is not _BidRounds or block.agent_ids != agent_ids:
+            block = _BidRounds(agent_ids, array("d"), array("q"), array("d"))
+            self._log.append(block)
+        block.prices.append(price)
+        block.rounds.append(r)
+        block.bids.extend(bids)
 
     @property
     def transcript(self) -> list[Message]:
@@ -94,13 +105,15 @@ class Bus:
         announce, bid_kind = MessageKind.PRICE_ANNOUNCE, MessageKind.BID
         out = []
         for entry in self._log:
-            if type(entry) is not BidRound:
+            if type(entry) is not _BidRounds:
                 out.append(entry)
                 continue
-            price, r, agent_ids, bids = entry
-            for aid, bid in zip(agent_ids, bids):
-                out.append(Message(announce, PB_ID, aid, price, r))
-                out.append(Message(bid_kind, aid, PB_ID, bid, r))
+            agent_ids, prices, rounds, bids = entry
+            n = len(agent_ids)
+            for k, (price, r) in enumerate(zip(prices, rounds)):
+                for aid, bid in zip(agent_ids, bids[k * n:(k + 1) * n]):
+                    out.append(Message(announce, PB_ID, aid, price, r))
+                    out.append(Message(bid_kind, aid, PB_ID, bid, r))
         return out
 
     def transcript_jsonl(self) -> str:

@@ -1,7 +1,10 @@
 """Shared fixtures and independent oracles used across the test suite."""
 
 import dataclasses
+import gc
 import math
+import tracemalloc
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -17,6 +20,27 @@ LN2 = math.log(2.0)
 def paper():
     """(params, channels) of the fixed 3-pair instance, budget 1 J."""
     return load_paper_instance(e_b_tot=1.0)
+
+
+class RoundBytes(NamedTuple):
+    held: float  # bytes still allocated after the call, while its result is alive
+    peak: float  # tracemalloc's peak during the call
+
+
+def bytes_per_round(run) -> RoundBytes:
+    """``tracemalloc`` bytes of ``run()`` per round of the auction it returns."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = run()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    outcome = result[0] if isinstance(result, tuple) else result
+    return RoundBytes(
+        (held - before) / outcome.rounds_used, (peak - before) / outcome.rounds_used
+    )
 
 
 def random_instance(rng, n_pairs, budget_frac=None):

@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import json
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from pbwpcn import (
 from pbwpcn import auction, coop
 from pbwpcn.auction import MAX_LADDER_ROUNDS
 
-from conftest import random_instance
+from conftest import bytes_per_round, random_instance
 
 
 class TestBestResponse:
@@ -197,6 +199,18 @@ class TestPayment:
         with pytest.raises(DomainError):
             payment([0.1, 0.2], [[0.5], [0.4]])  # clinch decreased
 
+    def test_rows_of_unequal_length(self):
+        # a short row would misalign the bidders or drop one
+        with pytest.raises(DomainError, match="one entry per bidder"):
+            payment([0.1, 0.2], [[1.0, 2.0], [1.0]])
+        with pytest.raises(DomainError, match="one entry per bidder"):
+            payment([0.1, 0.2], [[1.0], [1.0, 2.0]])
+
+    def test_keeps_the_input_numbers(self):
+        # integers stay exact integers until the exact sum
+        big = 2**60 + 1
+        assert payment([3, 5], [[big], [big + 2]]) == [math.fsum([3 * big, 5 * 2])]
+
 
 class TestRunAuction:
     def test_paper_instance_defaults(self, paper):
@@ -294,6 +308,50 @@ class TestRunAuction:
         assert [f.name for f in dataclasses.fields(AuctionConfig)] == [
             "reserve_price", "step"
         ]
+
+    def test_transcript_is_a_fresh_list_per_read(self, paper):
+        params, channels = paper
+        for budget in (1.0, 3.0):  # a trade and a quit
+            p = dataclasses.replace(params, e_b_tot=budget)
+            outcome = run_auction(p, channels, AuctionConfig())
+            first, second = outcome.transcript, outcome.transcript
+            assert first == second
+            assert first is not second
+            first[0]["bids"].append(1.0)
+            first[-1]["price"] = -1.0
+            first.append({})
+            assert outcome.transcript == second
+            assert outcome.transcript_jsonl() == "\n".join(map(json.dumps, second))
+
+    def test_equality_compares_the_log(self, paper):
+        params, channels = paper
+        outcome = run_auction(params, channels, AuctionConfig())
+        assert run_auction(params, channels, AuctionConfig()) == outcome
+        log = dataclasses.replace(outcome.log, bids=array("d", outcome.log.bids))
+        other = dataclasses.replace(outcome, log=log)
+        assert other == outcome
+        log.bids[0] += 1e-3
+        assert other != outcome
+
+    @pytest.mark.parametrize(
+        "step, digest",
+        [
+            (0.01, "625bb1f46dfd83b8d8a3824c63d2c11f7d81d5ea3ec0a66a001da17267651bbe"),
+            (1e-3, "c7cdec1634c1b7efa86a4e08bac3bdda3e99c1414ee72f02ce78b72c20933cce"),
+        ],
+    )
+    def test_transcript_golden_digest(self, paper, step, digest):
+        params, channels = paper
+        outcome = run_auction(params, channels, AuctionConfig(step=step))
+        assert hashlib.sha256(outcome.transcript_jsonl().encode()).hexdigest() == digest
+
+    def test_memory_per_round(self, paper):
+        # packed doubles: one price, 3 bids and 3 clinches, about 57 bytes a round
+        params, channels = paper
+        cfg = AuctionConfig(step=1e-3)
+        held, peak = bytes_per_round(lambda: run_auction(params, channels, cfg))
+        assert held <= 100.0
+        assert peak <= 150.0
 
 
 class TestAuctionAllocation:

@@ -83,6 +83,34 @@ class TestSweep:
             tmp_path / "b" / "fig6_welfare.csv"
         ).read_bytes()
 
+    def test_instance_figures_follow_the_config_ladder(self, capsys, tmp_path):
+        csvs = {}
+        for name, config in (("default", {}), ("coarse", {"price_step": 0.05})):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({"trials": 2, "e_b_tot_grid": [1.0], **config}))
+            out = tmp_path / name
+            assert main(["--config", str(cfg), "sweep", "--out", str(out)]) == 0
+            csvs[name] = {
+                f: (out / f).read_text()
+                for f in ("fig3_convergence.csv", "fig4_energy.csv", "fig4_time.csv")
+            }
+        for f, text in csvs["coarse"].items():
+            assert text != csvs["default"][f], f
+        auction_rows = [
+            line for line in csvs["coarse"]["fig3_convergence.csv"].splitlines()
+            if line.startswith("auction,")
+        ]
+        prices = [float(line.split(",")[2]) for line in auction_rows]
+        assert prices[1] - prices[0] == pytest.approx(0.05)
+
+    def test_ladder_too_long_to_walk_writes_nothing(self, capsys, tmp_path):
+        out = tmp_path / "out"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 2, "price_step": 1e-9}))
+        assert main(["--config", str(cfg), "sweep", "--out", str(out)]) == 2
+        assert "ladder" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigPrecedence:
     # a config file's value reaches the command unless the matching flag is given

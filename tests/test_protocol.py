@@ -1,8 +1,7 @@
 import dataclasses
-import gc
+import hashlib
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from pbwpcn import (
 )
 from pbwpcn.protocol import PB_ID, Bus, Message, MessageKind, PBView
 
-from conftest import random_instance
+from conftest import bytes_per_round, random_instance
 
 
 def ap_to_ap_count(bus):
@@ -91,6 +90,33 @@ class TestBus:
             assert json.dumps(msg.to_record()) == line
             bus.send(msg)
         assert bus.transcript_jsonl() == "\n".join(line for _, line in golden)
+
+    def test_bid_rounds_expand_in_log_order(self):
+        # consecutive rounds to one set of APs share a packed block; a message
+        # or another set of APs between them keeps its place
+        bus = Bus()
+        bus.log_round(0.5, 1, (1, 2), [0.25, 0.0])
+        bus.log_round(0.75, 2, (1, 2), [0.125, 0.0])
+        bus.send(Message(MessageKind.ALPHA_REPORT, 3, PB_ID, 1.5, 0))
+        bus.log_round(1.0, 3, (1, 2), [0.0, 0.0])
+        bus.log_round(1.25, 4, [3], [0.1])
+        A, B = MessageKind.PRICE_ANNOUNCE, MessageKind.BID
+        assert bus.transcript == [
+            Message(A, PB_ID, 1, 0.5, 1), Message(B, 1, PB_ID, 0.25, 1),
+            Message(A, PB_ID, 2, 0.5, 1), Message(B, 2, PB_ID, 0.0, 1),
+            Message(A, PB_ID, 1, 0.75, 2), Message(B, 1, PB_ID, 0.125, 2),
+            Message(A, PB_ID, 2, 0.75, 2), Message(B, 2, PB_ID, 0.0, 2),
+            Message(MessageKind.ALPHA_REPORT, 3, PB_ID, 1.5, 0),
+            Message(A, PB_ID, 1, 1.0, 3), Message(B, 1, PB_ID, 0.0, 3),
+            Message(A, PB_ID, 2, 1.0, 3), Message(B, 2, PB_ID, 0.0, 3),
+            Message(A, PB_ID, 3, 1.25, 4), Message(B, 3, PB_ID, 0.1, 4),
+        ]
+
+    def test_bid_round_needs_one_bid_per_ap(self):
+        bus = Bus()
+        with pytest.raises(ProtocolError):
+            bus.log_round(0.5, 1, (1, 2), [0.25])
+        assert bus.transcript == []
 
 
 class TestCoopProtocol:
@@ -381,17 +407,7 @@ def test_transcript_rebuilt_from_outcome_rows(paper):
 
 
 def _held_per_round(run):
-    """Bytes still allocated after ``run()`` while its result is alive, per round."""
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        result = run()
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    outcome = result[0] if isinstance(result, tuple) else result
-    return held / outcome.rounds_used
+    return bytes_per_round(run).held
 
 
 def test_protocol_memory_per_round_near_pooled(paper):
@@ -403,3 +419,28 @@ def test_protocol_memory_per_round_near_pooled(paper):
         lambda: run_auction_protocol(*make_views(params, channels), cfg)
     )
     assert proto <= pooled + 250.0
+
+
+def test_protocol_memory_per_round(paper):
+    # the outcome's packed log and the bus's packed bid rounds: about 57 and
+    # 40 bytes per round on 3 pairs
+    params, channels = paper
+    cfg = AuctionConfig(step=1e-3)
+    held, peak = bytes_per_round(
+        lambda: run_auction_protocol(*make_views(params, channels), cfg)
+    )
+    assert held <= 150.0
+    assert peak <= 200.0
+
+
+@pytest.mark.parametrize(
+    "step, digest",
+    [
+        (0.01, "bf5a014d81d908bb72470d5a1297f04f8ef9e036863e0048401ab9eeecb9f7d6"),
+        (1e-3, "a7ffc6f8681576d94d517a6e3862e1d39d2d4641167708558c686e5a98bc0a0d"),
+    ],
+)
+def test_auction_bus_golden_digest(paper, step, digest):
+    params, channels = paper
+    _, bus = run_auction_protocol(*make_views(params, channels), AuctionConfig(step=step))
+    assert hashlib.sha256(bus.transcript_jsonl().encode()).hexdigest() == digest
