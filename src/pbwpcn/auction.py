@@ -24,7 +24,7 @@ from .coop import (
     final_clinch_prr,
     gamma,
     pooled_bids,
-    price_search,
+    pooled_waterfill,
     tau_of_e,
 )
 
@@ -190,29 +190,8 @@ def ladder_top(deriveds, cfg: AuctionConfig) -> int:
     return t_top
 
 
-def _outcome(params, channels, deriveds, e_final, pay, log: LadderLog) -> AuctionOutcome:
-    """Charging times and utilities of a final allocation and its payments."""
-    tau_final = tuple(
-        tau_of_e(params, ch, d, e) for ch, d, e in zip(channels, deriveds, e_final)
-    )
-    ap_util = tuple(
-        w * throughput(params, ch, tf, e) - p
-        for w, ch, tf, e, p in zip(params.weights, channels, tau_final, e_final, pay)
-    )
-    return AuctionOutcome(
-        e_final=tuple(e_final),
-        tau_final=tau_final,
-        payment=tuple(pay),
-        ap_utility=ap_util,
-        pb_utility=math.fsum(pay),
-        rounds_used=len(log.prices),
-        pb_quit=log.quit,
-        log=log,
-    )
-
-
 def walk_top(deriveds, cfg: AuctionConfig) -> int:
-    """``ladder_top`` of a ladder short enough for ``clinch`` to walk."""
+    """``ladder_top`` of a ladder short enough for ``run_auction`` to walk."""
     t_top = ladder_top(deriveds, cfg)
     if t_top + 1 > MAX_LADDER_ROUNDS:
         raise DomainError(
@@ -221,17 +200,17 @@ def walk_top(deriveds, cfg: AuctionConfig) -> int:
     return t_top
 
 
-def clinch(
-    params: SystemParams, channels, deriveds, budget: float, bids_at, cfg: AuctionConfig
-) -> AuctionOutcome:
+def run_auction(params: SystemParams, channels, cfg: AuctionConfig) -> AuctionOutcome:
     """The ascending clinching auction: the ladder walk, its close and payments.
 
-    ``bids_at(mu, t)`` gathers every (nonnegative) bid at ladder round ``t``,
-    priced ``mu``.  Only the budget and the gathered bids drive the walk, so
-    the pooled auction and its message-passing protocol differ only in
-    ``bids_at``.  Each round goes to a packed ``LadderLog``.
+    Each round gathers every pair's (nonnegative) bid from its demand oracle;
+    only the budget and those bids drive the walk.  Each round goes to a
+    packed ``LadderLog``, which the message-passing protocol relays.
     """
+    deriveds = derive_pairs(params, channels)
     t_top = walk_top(deriveds, cfg)
+    bids_at = pooled_bids(params, channels, deriveds)
+    budget = params.e_b_tot
     n = len(deriveds)
     prices, bid_log, clinched = _doubles(), _doubles(), _doubles()
     start = None  # the first round that clinches anything
@@ -258,15 +237,23 @@ def clinch(
         e_final = final_clinch_prr(budget, bids, prev_bids)
         clinched.extend(e_final)
         pay = _payments(prices, clinched, n, t if start is None else start)
-    log = LadderLog(n, prices, bid_log, clinched, prev_bids is None)
-    return _outcome(params, channels, deriveds, e_final, pay, log)
-
-
-def run_auction(params: SystemParams, channels, cfg: AuctionConfig) -> AuctionOutcome:
-    """Full auction loop with per-round transcript and payments."""
-    deriveds = derive_pairs(params, channels)
-    bids_at = pooled_bids(params, channels, deriveds)
-    return clinch(params, channels, deriveds, params.e_b_tot, bids_at, cfg)
+    tau_final = tuple(
+        tau_of_e(params, ch, d, e) for ch, d, e in zip(channels, deriveds, e_final)
+    )
+    ap_util = tuple(
+        w * throughput(params, ch, tf, e) - p
+        for w, ch, tf, e, p in zip(params.weights, channels, tau_final, e_final, pay)
+    )
+    return AuctionOutcome(
+        e_final=tuple(e_final),
+        tau_final=tau_final,
+        payment=tuple(pay),
+        ap_utility=ap_util,
+        pb_utility=math.fsum(pay),
+        rounds_used=len(prices),
+        pb_quit=prev_bids is None,
+        log=LadderLog(n, prices, bid_log, clinched, prev_bids is None),
+    )
 
 
 def ladder_close(params, channels, deriveds, nu, bids_at, t_top, cfg, transcript=()):
@@ -299,15 +286,23 @@ def ladder_close(params, channels, deriveds, nu, bids_at, t_top, cfg, transcript
     return e_final, tau_final, t == 0, t + 1
 
 
+def close_at_dual_price(params: SystemParams, channels, deriveds, cfg: AuctionConfig):
+    """Water-filling, then the auction closed at its dual price (``ladder_close``).
+
+    One price search serves both mechanisms.  Returns (WaterfillResult,
+    (e_final, tau_final, pb_quit, rounds_used)).
+    """
+    t_top = ladder_top(deriveds, cfg)  # a bad ladder fails before any bid
+    res, bids_at = pooled_waterfill(params, channels, deriveds)
+    return res, ladder_close(
+        params, channels, deriveds, res.nu, bids_at, t_top, cfg, res.transcript
+    )
+
+
 def auction_allocation(params: SystemParams, channels, cfg: AuctionConfig):
     """Fast path to the final allocation only (no transcript, no payments).
 
-    Price search, then round up to the ladder (``ladder_close``).  Returns
-    (e_final, tau_final, pb_quit, rounds_used).
+    Price search, then round up to the ladder (``close_at_dual_price``).
+    Returns (e_final, tau_final, pb_quit, rounds_used).
     """
-    deriveds = derive_pairs(params, channels)
-    t_top = ladder_top(deriveds, cfg)  # a bad ladder fails before any bid
-    bids_at = pooled_bids(params, channels, deriveds)
-    transcript: list = []
-    nu, _, _ = price_search(deriveds, params.e_b_tot, bids_at, transcript)
-    return ladder_close(params, channels, deriveds, nu, bids_at, t_top, cfg, transcript)
+    return close_at_dual_price(params, channels, derive_pairs(params, channels), cfg)[1]

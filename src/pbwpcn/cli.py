@@ -143,7 +143,7 @@ def cmd_auction(args, config) -> int:
     print(f"rounds used       : {outcome.rounds_used}")
     if args.out:
         path = os.path.join(args.out, "auction_transcript.jsonl")
-        _atomic_write(path, outcome.transcript_jsonl() + "\n")
+        _atomic_write(path, (json.dumps(row) + "\n" for row in outcome.log.rows()))
         print(f"transcript written to {path}")
     return 0
 
@@ -159,13 +159,13 @@ def cmd_protocol(args, config) -> int:
         outcome, bus = run_auction_protocol(pb_view, ap_views, _auction_cfg(args, config))
         print(f"rounds: {outcome.rounds_used}  quit: {outcome.pb_quit}")
         print("E~* [Joule]:", " ".join(f"{e:.6f}" for e in outcome.e_final))
-    text = bus.transcript_jsonl() + "\n"
+    lines = (json.dumps(m.to_record()) + "\n" for m in bus.messages())
     if args.out:
         path = os.path.join(args.out, f"protocol_{args.which}.jsonl")
-        _atomic_write(path, text)
+        _atomic_write(path, lines)
         print(f"transcript written to {path}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     return 0
 
 

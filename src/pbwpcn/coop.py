@@ -334,27 +334,24 @@ def _regula_falsi(a, a_bids, b, b_bids, f_b, e_b_tot, announce):
     raise ConvergenceError(f"price search stalled on bracket ({a}, {b})")
 
 
-def waterfill(params: SystemParams, channels) -> WaterfillResult:
-    """Budget-constrained welfare maximization over beacon energy splits."""
-    deriveds = derive_pairs(params, channels)
+def pooled_waterfill(params: SystemParams, channels, deriveds):
+    """The one water-filling body: (WaterfillResult, ``bids_at``).
+
+    ``waterfill``, the auction's fast path, the sweep and the cooperative
+    protocol all run it.  ``bids_at`` is the search's pooled demand, its
+    oracles still warm, for a ladder close at the dual price.
+    """
     bids_at = pooled_bids(params, channels, deriveds)
     transcript: list = []
     nu, e_star, rounds = price_search(deriveds, params.e_b_tot, bids_at, transcript)
-    return waterfill_result(params, channels, deriveds, nu, e_star, rounds, transcript)
-
-
-def waterfill_result(params, channels, deriveds, nu, e_star, rounds, transcript):
-    """Charging times and welfare of a water-filling energy split."""
     tau_star = tuple(
         tau_of_e(params, ch, d, e) for ch, d, e in zip(channels, deriveds, e_star)
     )
     alloc = Allocation.from_energy(params, tau_star, e_star)
     welfare = social_welfare(params, channels, alloc)
-    return WaterfillResult(
-        nu=nu,
-        e_star=tuple(e_star),
-        tau_star=tau_star,
-        welfare=welfare,
-        rounds=rounds,
-        transcript=transcript,
-    )
+    return WaterfillResult(nu, tuple(e_star), tau_star, welfare, rounds, transcript), bids_at
+
+
+def waterfill(params: SystemParams, channels) -> WaterfillResult:
+    """Budget-constrained welfare maximization over beacon energy splits."""
+    return pooled_waterfill(params, channels, derive_pairs(params, channels))[0]

@@ -17,10 +17,9 @@ from statistics import fmean
 
 import numpy as np
 
-from .auction import AuctionConfig, ladder_close, ladder_top, run_auction
+from .auction import AuctionConfig, close_at_dual_price, run_auction
 from .coop import (  # derive_pair stays bound here: perfbench's tests restore it
-    derive_pair, derive_pairs, pooled_bids, price_search, tau_of_e, waterfill,
-    waterfill_result,
+    derive_pair, derive_pairs, tau_of_e, waterfill,
 )
 from .errors import DomainError
 from .model import PairChannel, SystemParams, throughput
@@ -139,19 +138,6 @@ def _nopb_welfare(params: SystemParams, channels, deriveds) -> float:
     return _welfare(params, channels, taus, [0.0] * len(channels))
 
 
-def _both_mechanisms(params: SystemParams, channels, deriveds, auc_cfg):
-    """(WaterfillResult, auction e_final, tau_final) from one price search."""
-    t_top = ladder_top(deriveds, auc_cfg)
-    bids_at = pooled_bids(params, channels, deriveds)
-    transcript: list = []
-    nu, e_star, rounds = price_search(deriveds, params.e_b_tot, bids_at, transcript)
-    res = waterfill_result(params, channels, deriveds, nu, e_star, rounds, transcript)
-    e_fin, tau_fin, _, _ = ladder_close(
-        params, channels, deriveds, nu, bids_at, t_top, auc_cfg, transcript
-    )
-    return res, e_fin, tau_fin
-
-
 def sweep(cfg: ExperimentConfig) -> list[SweepRecord]:
     """Monte Carlo means over the budget grid; writes CSVs when configured."""
     base = table_params(n_pairs=cfg.n_pairs)
@@ -166,7 +152,9 @@ def sweep(cfg: ExperimentConfig) -> list[SweepRecord]:
         e_coop, e_auc, t_coop, t_auc = [], [], [], []
         w_coop, w_auc = [], []
         for channels, deriveds in trials:
-            res, e_fin, tau_fin = _both_mechanisms(params, channels, deriveds, auc_cfg)
+            res, (e_fin, tau_fin, _, _) = close_at_dual_price(
+                params, channels, deriveds, auc_cfg
+            )
             e_coop.extend(res.e_star)
             t_coop.extend(res.tau_star)
             w_coop.append(res.welfare)
@@ -194,14 +182,15 @@ def sweep(cfg: ExperimentConfig) -> list[SweepRecord]:
     return records
 
 
-def _atomic_write(path: str, text: str) -> None:
-    # write to a sibling temp file and rename, so failures leave no partial file
+def _atomic_write(path: str, chunks) -> None:
+    # stream the text chunks to a sibling temp file and rename, so failures
+    # leave no partial file
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -209,13 +198,13 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _csv(rows) -> str:
+def _csv(rows):
     def fmt(v):
         if isinstance(v, float):
             return repr(v)  # shortest round-trip decimal
         return str(v)
 
-    return "\n".join(",".join(fmt(v) for v in row) for row in rows) + "\n"
+    return (",".join(fmt(v) for v in row) + "\n" for row in rows)
 
 
 def _write_csvs(outdir: str, tables) -> list[str]:
@@ -271,7 +260,7 @@ def write_instance_csvs(outdir: str, auc_cfg: AuctionConfig = AuctionConfig()) -
     deriveds = derive_pairs(params, channels)
     for budget in _FIG4_BUDGETS:
         p = dataclasses.replace(params, e_b_tot=budget)
-        res, e_fin, tau_fin = _both_mechanisms(p, channels, deriveds, auc_cfg)
+        res, (e_fin, tau_fin, _, _) = close_at_dual_price(p, channels, deriveds, auc_cfg)
         rows4e.append([budget] + list(res.e_star) + list(e_fin))
         rows4t.append([budget] + list(res.tau_star) + list(tau_fin))
 

@@ -2,28 +2,23 @@
 
 Agents exchange scalars over an in-process bus: the beacon (agent 0) only
 ever sees reported caps, knees and bids, and the APs (agents 1..N) never see
-each other's channels or bids.  The bus rejects AP-to-AP delivery outright,
-so a transcript doubles as an audit that the algorithms use only locally
+each other's channels or bids.  The beacon's solve is the pooled one, whose
+decisions read only those caps, knees and bids; the bus relays the bid
+rounds that solve logged.  It rejects AP-to-AP delivery outright, so a
+transcript doubles as an audit that the algorithms use only locally
 available information.
 """
 
 from __future__ import annotations
 
 import json
-from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from typing import NamedTuple
 
-from .auction import AuctionConfig, AuctionOutcome, clinch
-from .coop import (
-    WaterfillResult,
-    demand_oracle,
-    derive_pair,
-    price_search,
-    waterfill_result,
-)
+from .auction import AuctionConfig, AuctionOutcome, LadderLog, run_auction
+from .coop import WaterfillResult, derive_pairs, pooled_waterfill
 from .errors import DomainError, ProtocolError
 from .model import PairChannel, SystemParams
 
@@ -58,25 +53,15 @@ class Message(NamedTuple):
         }
 
 
-class _BidRounds(NamedTuple):
-    """Consecutive bid rounds to one set of APs, packed: per round a price, a
-    round number and one bid per AP."""
-
-    agent_ids: tuple[int, ...]
-    prices: array
-    rounds: array
-    bids: array
-
-
 class Bus:
     """Synchronous-round bus: one append-only log, no AP-to-AP delivery.
 
-    The log holds single messages and packed runs of bid rounds;
-    ``transcript`` expands it into messages only when it is read.
+    The log holds single messages and the bid rounds a solve relays;
+    ``messages`` expands it into messages only as it is iterated.
     """
 
     def __init__(self):
-        self._log: list[Message | _BidRounds] = []
+        self._log: list = []
 
     def send(self, msg: Message) -> None:
         if msg.sender != PB_ID and msg.receiver != PB_ID:
@@ -85,39 +70,32 @@ class Bus:
             )
         self._log.append(msg)
 
-    def log_round(self, price: float, r: int, agent_ids, bids) -> None:
-        """Log round ``r``: ``price`` went to each of ``agent_ids``, which answered ``bids``."""
-        agent_ids = tuple(agent_ids)
-        if len(bids) != len(agent_ids):
-            raise ProtocolError(f"round {r}: {len(bids)} bids from {len(agent_ids)} APs")
-        block = self._log[-1] if self._log else None
-        if type(block) is not _BidRounds or block.agent_ids != agent_ids:
-            block = _BidRounds(agent_ids, array("d"), array("q"), array("d"))
-            self._log.append(block)
-        block.prices.append(price)
-        block.rounds.append(r)
-        block.bids.extend(bids)
+    def relay(self, agent_ids, rounds) -> None:
+        """Log the bid rounds a solve ran: ``rounds()`` yields (round, price,
+        bids), the price announced to each of ``agent_ids`` and their bids."""
+        self._log.append((tuple(agent_ids), rounds))
+
+    def messages(self):
+        """Every message in send order, built as it is iterated: a bid round
+        is a price announcement then a bid, AP by AP."""
+        announce, bid_kind = MessageKind.PRICE_ANNOUNCE, MessageKind.BID
+        for entry in self._log:
+            if type(entry) is Message:
+                yield entry
+                continue
+            agent_ids, rounds = entry
+            for r, price, bids in rounds():
+                for aid, bid in zip(agent_ids, bids):
+                    yield Message(announce, PB_ID, aid, price, r)
+                    yield Message(bid_kind, aid, PB_ID, bid, r)
 
     @property
     def transcript(self) -> list[Message]:
-        """Every message in send order: a bid round is a price announcement
-        then a bid, AP by AP.  A fresh list on each read."""
-        announce, bid_kind = MessageKind.PRICE_ANNOUNCE, MessageKind.BID
-        out = []
-        for entry in self._log:
-            if type(entry) is not _BidRounds:
-                out.append(entry)
-                continue
-            agent_ids, prices, rounds, bids = entry
-            n = len(agent_ids)
-            for k, (price, r) in enumerate(zip(prices, rounds)):
-                for aid, bid in zip(agent_ids, bids[k * n:(k + 1) * n]):
-                    out.append(Message(announce, PB_ID, aid, price, r))
-                    out.append(Message(bid_kind, aid, PB_ID, bid, r))
-        return out
+        """``messages`` as a list, a fresh one on each read."""
+        return list(self.messages())
 
     def transcript_jsonl(self) -> str:
-        return "\n".join(json.dumps(m.to_record()) for m in self.transcript)
+        return "\n".join(json.dumps(m.to_record()) for m in self.messages())
 
 
 @dataclass
@@ -148,29 +126,25 @@ def make_views(params: SystemParams, channels) -> tuple[PBView, list[APView]]:
     return pb, aps
 
 
-class APAgent:
-    """Bidder logic: derives its own constants, answers price announcements."""
-
-    def __init__(self, view: APView):
-        self.view = view
-        self.derived = derive_pair(view.params, view.channel, view.weight)
-        # the warm-start hint of the demand oracle is this AP's own state
-        self.bid = demand_oracle(view.params, view.channel, self.derived)
-
-
-def _shared_params(ap_views) -> SystemParams:
+def _shared_params(pb_view: PBView, ap_views) -> SystemParams:
     """The one ``SystemParams`` that every AP view holds.
 
-    Rejects an empty view list, views whose params differ, a view count
-    other than the params' pair count, an AP holding the beacon's id,
-    repeated agent ids and a view whose weight is not the params' weight at
-    its position; any of these would otherwise skew the outcome silently.
+    Rejects an empty view list, views whose params differ, a beacon budget
+    other than the params' one, a view count other than the params' pair
+    count, an AP holding the beacon's id, repeated agent ids and a view whose
+    weight is not the params' weight at its position; any of these would
+    otherwise skew the outcome silently.
     """
     if not ap_views:
         raise DomainError("the protocol needs at least one AP view")
     params = ap_views[0].params
     if any(v.params is not params and v.params != params for v in ap_views):
         raise DomainError("every AP view must hold the same system params")
+    if pb_view.e_b_tot != params.e_b_tot:
+        raise DomainError(
+            f"the beacon's budget {pb_view.e_b_tot} differs from "
+            f"params.e_b_tot {params.e_b_tot}"
+        )
     if len(ap_views) != params.n_pairs:
         raise DomainError(
             f"AP views ({len(ap_views)}) and weights ({params.n_pairs}) sizes differ"
@@ -188,64 +162,58 @@ def _shared_params(ap_views) -> SystemParams:
     return params
 
 
-def _bid_round(bus: Bus, oracles, agent_ids, price: float, r: int) -> list[float]:
-    """One round: announce the bare price to every AP and collect its bid."""
-    bids = [bid(price) for bid in oracles]
-    bus.log_round(price, r, agent_ids, bids)
-    return bids
-
-
-def _round_runner(bus: Bus, agents):
-    """``bids_at(price, r)`` over the bus, with the oracles and ids bound once."""
-    agent_ids = tuple(a.view.agent_id for a in agents)
-    return partial(_bid_round, bus, [a.bid for a in agents], agent_ids)
+def _ladder_rounds(log: LadderLog):
+    """(round, price, bids) of every round the ladder walk logged."""
+    n = log.n
+    for t, mu in enumerate(log.prices):
+        yield t, mu, log.bids[t * n:(t + 1) * n]
 
 
 def run_coop_protocol(
     pb_view: PBView, ap_views: list[APView]
 ) -> tuple[WaterfillResult, Bus]:
-    """Water-filling price search executed as explicit message rounds."""
-    params = _shared_params(ap_views)
-    bus = Bus()
-    agents = [APAgent(v) for v in ap_views]
+    """Water-filling as message rounds: cap and knee reports, the price
+    search's relayed bid rounds, then the final allocations."""
+    params = _shared_params(pb_view, ap_views)
     channels = [v.channel for v in ap_views]
+    deriveds = derive_pairs(params, channels)
+    agent_ids = [v.agent_id for v in ap_views]
+    bus = Bus()
 
     # setup round: every AP reports its cap and knee to the beacon
-    for agent in agents:
-        aid = agent.view.agent_id
-        bus.send(Message(MessageKind.ALPHA_REPORT, aid, PB_ID, agent.derived.alpha, 0))
-        bus.send(Message(MessageKind.ELIM_REPORT, aid, PB_ID, agent.derived.e_lim, 0))
+    for aid, d in zip(agent_ids, deriveds):
+        bus.send(Message(MessageKind.ALPHA_REPORT, aid, PB_ID, d.alpha, 0))
+        bus.send(Message(MessageKind.ELIM_REPORT, aid, PB_ID, d.e_lim, 0))
 
-    deriveds = [a.derived for a in agents]
-    events: list = []
-    bids_at = _round_runner(bus, agents)
-    nu, e_star, rounds = price_search(deriveds, pb_view.e_b_tot, bids_at, events)
+    result, _ = pooled_waterfill(params, channels, deriveds)
+    # a snapshot of the search's rounds: the caller may edit result.transcript
+    rounds = tuple(
+        (row["round"], row["nu"], tuple(row["bids"]))
+        for row in result.transcript if "round" in row
+    )
+    bus.relay(agent_ids, rounds.__iter__)
 
-    for agent, e in zip(agents, e_star):
-        aid = agent.view.agent_id
-        bus.send(Message(MessageKind.FINAL_ALLOCATION, PB_ID, aid, e, rounds + 1))
-
-    result = waterfill_result(params, channels, deriveds, nu, e_star, rounds, events)
+    for aid, e in zip(agent_ids, result.e_star):
+        bus.send(Message(MessageKind.FINAL_ALLOCATION, PB_ID, aid, e, result.rounds + 1))
     return result, bus
 
 
 def run_auction_protocol(
     pb_view: PBView, ap_views: list[APView], cfg: AuctionConfig
 ) -> tuple[AuctionOutcome, Bus]:
-    """Ascending clinching auction executed as explicit message rounds."""
-    params = _shared_params(ap_views)
+    """The clinching auction as message rounds: the ladder walk's relayed bid
+    rounds, then one closing message per AP."""
+    params = _shared_params(pb_view, ap_views)
+    outcome = run_auction(params, [v.channel for v in ap_views], cfg)
+    agent_ids = [v.agent_id for v in ap_views]
     bus = Bus()
-    agents = [APAgent(v) for v in ap_views]
-    channels = [v.channel for v in ap_views]
-    deriveds = [a.derived for a in agents]
-    bids_at = _round_runner(bus, agents)
-    outcome = clinch(params, channels, deriveds, pb_view.e_b_tot, bids_at, cfg)
+    bus.relay(agent_ids, partial(_ladder_rounds, outcome.log))
 
     # one closing message per AP: a quit carries the reserve price, a trade
     # the AP's final allocation
     kind = MessageKind.QUIT if outcome.pb_quit else MessageKind.FINAL_ALLOCATION
     r = outcome.rounds_used
-    for agent, e in zip(agents, outcome.e_final):
+    for aid, e in zip(agent_ids, outcome.e_final):
         payload = cfg.reserve_price if outcome.pb_quit else e
-        bus.send(Message(kind, PB_ID, agent.view.agent_id, payload, r))
+        bus.send(Message(kind, PB_ID, aid, payload, r))
     return outcome, bus

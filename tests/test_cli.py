@@ -1,10 +1,16 @@
+import contextlib
+import gc
 import json
 import math
+import os
 import time
+import tracemalloc
 
 import pytest
 
+from pbwpcn import AuctionConfig, make_views, run_auction, run_auction_protocol, run_coop_protocol
 from pbwpcn.cli import main
+from pbwpcn.experiments import load_paper_instance
 
 
 class TestPaperInstance:
@@ -59,6 +65,40 @@ class TestProtocol:
         )
         assert rc == 0
         assert (tmp_path / "protocol_auction.jsonl").exists()
+
+
+class TestStreamedTranscripts:
+    @pytest.mark.parametrize("which", ["coop", "auction"])
+    def test_stdout_and_file_hold_the_bus_transcript(self, capsys, tmp_path, which):
+        params, channels = load_paper_instance()
+        if which == "coop":
+            _, bus = run_coop_protocol(*make_views(params, channels))
+        else:
+            _, bus = run_auction_protocol(*make_views(params, channels), AuctionConfig())
+        expected = bus.transcript_jsonl() + "\n"
+        assert main(["protocol", "--which", which]) == 0
+        assert capsys.readouterr().out.endswith(expected)
+        assert main(["protocol", "--which", which, "--out", str(tmp_path)]) == 0
+        assert (tmp_path / f"protocol_{which}.jsonl").read_text() == expected
+
+    @pytest.mark.parametrize(
+        "argv", [["protocol", "--which", "auction"], ["auction"]], ids=["protocol", "auction"]
+    )
+    def test_peak_memory_per_round(self, tmp_path, argv):
+        # lines go out one at a time: the peak stays near the walk's own packed
+        # log (about 75 bytes per round), not the whole text or message list
+        params, channels = load_paper_instance()
+        rounds = run_auction(params, channels, AuctionConfig(step=1e-4)).rounds_used
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                assert main(argv + ["--delta", "1e-4", "--out", str(tmp_path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - before) / rounds <= 150.0
 
 
 class TestSweep:

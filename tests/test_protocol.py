@@ -91,32 +91,24 @@ class TestBus:
             bus.send(msg)
         assert bus.transcript_jsonl() == "\n".join(line for _, line in golden)
 
-    def test_bid_rounds_expand_in_log_order(self):
-        # consecutive rounds to one set of APs share a packed block; a message
-        # or another set of APs between them keeps its place
+    def test_relayed_rounds_expand_in_log_order(self):
+        # a relayed run of bid rounds keeps its place among sent messages and
+        # is expanded on each read
         bus = Bus()
-        bus.log_round(0.5, 1, (1, 2), [0.25, 0.0])
-        bus.log_round(0.75, 2, (1, 2), [0.125, 0.0])
+        bus.relay((1, 2), ((1, 0.5, (0.25, 0.0)), (2, 0.75, (0.125, 0.0))).__iter__)
         bus.send(Message(MessageKind.ALPHA_REPORT, 3, PB_ID, 1.5, 0))
-        bus.log_round(1.0, 3, (1, 2), [0.0, 0.0])
-        bus.log_round(1.25, 4, [3], [0.1])
+        bus.relay([3], [(4, 1.25, [0.1])].__iter__)
         A, B = MessageKind.PRICE_ANNOUNCE, MessageKind.BID
-        assert bus.transcript == [
+        expected = [
             Message(A, PB_ID, 1, 0.5, 1), Message(B, 1, PB_ID, 0.25, 1),
             Message(A, PB_ID, 2, 0.5, 1), Message(B, 2, PB_ID, 0.0, 1),
             Message(A, PB_ID, 1, 0.75, 2), Message(B, 1, PB_ID, 0.125, 2),
             Message(A, PB_ID, 2, 0.75, 2), Message(B, 2, PB_ID, 0.0, 2),
             Message(MessageKind.ALPHA_REPORT, 3, PB_ID, 1.5, 0),
-            Message(A, PB_ID, 1, 1.0, 3), Message(B, 1, PB_ID, 0.0, 3),
-            Message(A, PB_ID, 2, 1.0, 3), Message(B, 2, PB_ID, 0.0, 3),
             Message(A, PB_ID, 3, 1.25, 4), Message(B, 3, PB_ID, 0.1, 4),
         ]
-
-    def test_bid_round_needs_one_bid_per_ap(self):
-        bus = Bus()
-        with pytest.raises(ProtocolError):
-            bus.log_round(0.5, 1, (1, 2), [0.25])
-        assert bus.transcript == []
+        assert bus.transcript == expected
+        assert list(bus.messages()) == expected
 
 
 class TestCoopProtocol:
@@ -181,6 +173,15 @@ class TestCoopProtocol:
             assert dist.tau_star == pooled.tau_star
             assert dist.welfare == pooled.welfare
             assert dist.rounds == pooled.rounds
+
+    def test_bus_keeps_its_own_rounds(self, paper):
+        # the bus relays a snapshot of the search's rounds, not the result's list
+        result, bus = run_coop_protocol(*make_views(*paper))
+        before = bus.transcript
+        result.transcript[0]["bids"][0] = -1.0
+        result.transcript[0]["nu"] = -1.0
+        result.transcript.clear()
+        assert bus.transcript == before
 
     def test_transcript_deterministic(self, paper):
         params, channels = paper
@@ -339,6 +340,14 @@ class TestProtocolInputs:
         with pytest.raises(DomainError, match=r"params.weights\[0\]"):
             run(pb, aps)
 
+    @pytest.mark.parametrize("budget", [0.5, 2.0])
+    def test_beacon_budget_differs_from_params(self, paper, run, budget):
+        # the solve would otherwise run at one of the two budgets silently
+        params, channels = paper
+        _, aps = make_views(params, channels)
+        with pytest.raises(DomainError, match=rf"budget {budget} differs .* 1\.0"):
+            run(PBView(budget), aps)
+
     def test_equal_params_need_not_be_one_object(self, paper, run):
         params, channels = paper
         pb, aps = make_views(params, channels)
@@ -411,26 +420,26 @@ def _held_per_round(run):
 
 
 def test_protocol_memory_per_round_near_pooled(paper):
-    # the bus keeps one entry per bid round, not two messages per AP
+    # the bus keeps no copy of the bid rounds, only the walk's own log
     params, channels = paper
     cfg = AuctionConfig(step=1e-3)
     pooled = _held_per_round(lambda: run_auction(params, channels, cfg))
     proto = _held_per_round(
         lambda: run_auction_protocol(*make_views(params, channels), cfg)
     )
-    assert proto <= pooled + 250.0
+    assert proto <= pooled + 8.0
 
 
 def test_protocol_memory_per_round(paper):
-    # the outcome's packed log and the bus's packed bid rounds: about 57 and
-    # 40 bytes per round on 3 pairs
+    # the bus relays the outcome's packed log: about 63 bytes held and 79 at
+    # the peak per round on 3 pairs
     params, channels = paper
     cfg = AuctionConfig(step=1e-3)
     held, peak = bytes_per_round(
         lambda: run_auction_protocol(*make_views(params, channels), cfg)
     )
-    assert held <= 150.0
-    assert peak <= 200.0
+    assert held <= 70.0
+    assert peak <= 90.0
 
 
 @pytest.mark.parametrize(
