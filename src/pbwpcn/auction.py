@@ -24,7 +24,7 @@ from .coop import (
     final_clinch_prr,
     gamma,
     pooled_bids,
-    pooled_waterfill,
+    price_search,
     tau_of_e,
 )
 
@@ -286,23 +286,16 @@ def ladder_close(params, channels, deriveds, nu, bids_at, t_top, cfg, transcript
     return e_final, tau_final, t == 0, t + 1
 
 
-def close_at_dual_price(params: SystemParams, channels, deriveds, cfg: AuctionConfig):
-    """Water-filling, then the auction closed at its dual price (``ladder_close``).
-
-    One price search serves both mechanisms.  Returns (WaterfillResult,
-    (e_final, tau_final, pb_quit, rounds_used)).
-    """
-    t_top = ladder_top(deriveds, cfg)  # a bad ladder fails before any bid
-    res, bids_at = pooled_waterfill(params, channels, deriveds)
-    return res, ladder_close(
-        params, channels, deriveds, res.nu, bids_at, t_top, cfg, res.transcript
-    )
-
-
 def auction_allocation(params: SystemParams, channels, cfg: AuctionConfig):
     """Fast path to the final allocation only (no transcript, no payments).
 
-    Price search, then round up to the ladder (``close_at_dual_price``).
+    Price search, then round up to the ladder: ``ladder_close`` starts from
+    the search's dual price and reuses the bids it gathered.
     Returns (e_final, tau_final, pb_quit, rounds_used).
     """
-    return close_at_dual_price(params, channels, derive_pairs(params, channels), cfg)[1]
+    deriveds = derive_pairs(params, channels)
+    t_top = ladder_top(deriveds, cfg)  # a bad ladder fails before any bid
+    bids_at = pooled_bids(params, channels, deriveds)
+    transcript: list = []
+    nu, _, _ = price_search(deriveds, params.e_b_tot, bids_at, transcript)
+    return ladder_close(params, channels, deriveds, nu, bids_at, t_top, cfg, transcript)

@@ -337,9 +337,9 @@ def _regula_falsi(a, a_bids, b, b_bids, f_b, e_b_tot, announce):
 def pooled_waterfill(params: SystemParams, channels, deriveds):
     """The one water-filling body: (WaterfillResult, ``bids_at``).
 
-    ``waterfill``, the auction's fast path, the sweep and the cooperative
-    protocol all run it.  ``bids_at`` is the search's pooled demand, its
-    oracles still warm, for a ladder close at the dual price.
+    ``waterfill`` and the cooperative protocol run it; ``batch.solve_lanes``
+    replays it over arrays.  ``bids_at`` is the search's pooled demand, its
+    oracles still warm.
     """
     bids_at = pooled_bids(params, channels, deriveds)
     transcript: list = []

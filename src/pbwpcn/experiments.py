@@ -8,16 +8,16 @@ adding trials or pairs never reshuffles earlier draws.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import fmean
 
 import numpy as np
 
-from .auction import AuctionConfig, close_at_dual_price, run_auction
+from .auction import AuctionConfig, run_auction
+from .batch import solve_lanes
 from .coop import (  # derive_pair stays bound here: perfbench's tests restore it
     derive_pair, derive_pairs, tau_of_e, waterfill,
 )
@@ -141,41 +141,20 @@ def _nopb_welfare(params: SystemParams, channels, deriveds) -> float:
 def sweep(cfg: ExperimentConfig) -> list[SweepRecord]:
     """Monte Carlo means over the budget grid; writes CSVs when configured."""
     base = table_params(n_pairs=cfg.n_pairs)
-    auc_cfg = cfg.auction_config
     # derived constants do not depend on the budget: one table per trial
     all_channels = [draw_channels(cfg, t) for t in range(cfg.trials)]
-    trials = [(channels, derive_pairs(base, channels)) for channels in all_channels]
-    welfare_nopb = fmean([_nopb_welfare(base, *trial) for trial in trials])
-    records = []
-    for budget in cfg.e_b_tot_grid:
-        params = dataclasses.replace(base, e_b_tot=budget)
-        e_coop, e_auc, t_coop, t_auc = [], [], [], []
-        w_coop, w_auc = [], []
-        for channels, deriveds in trials:
-            res, (e_fin, tau_fin, _, _) = close_at_dual_price(
-                params, channels, deriveds, auc_cfg
-            )
-            e_coop.extend(res.e_star)
-            t_coop.extend(res.tau_star)
-            w_coop.append(res.welfare)
-            e_auc.extend(e_fin)
-            t_auc.extend(tau_fin)
-            # payments cancel between bidders and the auctioneer, so the
-            # aggregate welfare is just the weighted sum-throughput
-            w_auc.append(_welfare(params, channels, tau_fin, e_fin))
-        records.append(
-            SweepRecord(
-                e_b_tot=budget,
-                mean_e_coop=fmean(e_coop),
-                mean_e_auction=fmean(e_auc),
-                mean_tau_coop=fmean(t_coop),
-                mean_tau_auction=fmean(t_auc),
-                welfare_coop=fmean(w_coop),
-                welfare_auction=fmean(w_auc),
-                welfare_nopb=welfare_nopb,
-                trials=cfg.trials,
-            )
-        )
+    deriveds = [derive_pairs(base, channels) for channels in all_channels]
+    welfare_nopb = fmean([_nopb_welfare(base, *trial) for trial in zip(all_channels, deriveds)])
+    # every (trial, budget) in one batch; payments cancel between bidders and
+    # the auctioneer, so the auction's welfare is its weighted sum-throughput
+    lanes = solve_lanes(base, all_channels, deriveds, cfg.e_b_tot_grid, cfg.auction_config)
+    # the lanes behind SweepRecord's means, in its field order
+    columns = ("e_star", "e_final", "tau_star", "tau_final", "welfare", "welfare_auction")
+    records = [
+        SweepRecord(budget, *(fmean(getattr(lanes, c)[k].ravel().tolist()) for c in columns),
+                    welfare_nopb, cfg.trials)
+        for k, budget in enumerate(cfg.e_b_tot_grid)
+    ]
 
     if cfg.output_path is not None:
         write_sweep_csvs(cfg, records)
@@ -257,12 +236,12 @@ def write_instance_csvs(outdir: str, auc_cfg: AuctionConfig = AuctionConfig()) -
 
     rows4e = [["e_b_tot"] + [f"e_coop_{i+1}" for i in range(n)] + [f"e_auction_{i+1}" for i in range(n)]]
     rows4t = [["e_b_tot"] + [f"tau_coop_{i+1}" for i in range(n)] + [f"tau_auction_{i+1}" for i in range(n)]]
-    deriveds = derive_pairs(params, channels)
-    for budget in _FIG4_BUDGETS:
-        p = dataclasses.replace(params, e_b_tot=budget)
-        res, (e_fin, tau_fin, _, _) = close_at_dual_price(p, channels, deriveds, auc_cfg)
-        rows4e.append([budget] + list(res.e_star) + list(e_fin))
-        rows4t.append([budget] + list(res.tau_star) + list(tau_fin))
+    lanes = solve_lanes(
+        params, [channels], [derive_pairs(params, channels)], _FIG4_BUDGETS, auc_cfg
+    )
+    for k, budget in enumerate(_FIG4_BUDGETS):
+        rows4e.append([budget] + lanes.e_star[k, 0].tolist() + lanes.e_final[k, 0].tolist())
+        rows4t.append([budget] + lanes.tau_star[k, 0].tolist() + lanes.tau_final[k, 0].tolist())
 
     return _write_csvs(outdir, [
         ("fig3_convergence.csv", rows3),

@@ -1,0 +1,162 @@
+"""The batched kernel against the scalar solvers it replays, lane by lane."""
+
+import dataclasses
+import logging
+import math
+from statistics import fmean
+
+import numpy as np
+import pytest
+
+from pbwpcn import (
+    AuctionConfig,
+    ExperimentConfig,
+    SystemParams,
+    auction_allocation,
+    derive_pair,
+    draw_channels,
+    sweep,
+    throughput,
+    waterfill,
+)
+from pbwpcn.batch import solve_lanes
+from pbwpcn.coop import derive_pairs
+from pbwpcn.experiments import _FIG4_BUDGETS, table_params
+from test_coop import defect_a_instance
+
+RTOL = 1e-12
+
+
+def rel_gap(a, b):
+    """Largest |a - b| relative to the largest entry of either."""
+    a, b = np.atleast_1d(np.asarray(a, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
+    scale = max(np.abs(a).max(), np.abs(b).max())
+    gap = np.abs(a - b).max()
+    return gap / scale if scale > 0.0 else gap
+
+
+def solve_and_compare(params, trials, budgets, cfg=AuctionConfig()):
+    """Run the kernel on every (budget, trial) and check each lane against
+    ``waterfill`` and ``auction_allocation``; returns the kernel's lanes."""
+    lanes = solve_lanes(params, trials, [derive_pairs(params, ch) for ch in trials], budgets, cfg)
+    for k, budget in enumerate(budgets):
+        p = dataclasses.replace(params, e_b_tot=budget)
+        for t, channels in enumerate(trials):
+            coop = waterfill(p, channels)
+            e_fin, tau_fin, quit_, rounds = auction_allocation(p, channels, cfg)
+            assert rel_gap(lanes.nu[k, t], coop.nu) <= RTOL
+            assert rel_gap(lanes.e_star[k, t], coop.e_star) <= RTOL
+            assert rel_gap(lanes.tau_star[k, t], coop.tau_star) <= RTOL
+            assert rel_gap(lanes.welfare[k, t], coop.welfare) <= RTOL
+            assert rel_gap(lanes.e_final[k, t], e_fin) <= RTOL
+            assert rel_gap(lanes.tau_final[k, t], tau_fin) <= RTOL
+            assert lanes.pb_quit[k, t] == quit_
+            assert lanes.rounds_used[k, t] == rounds
+            welfare_auc = math.fsum(
+                w * throughput(p, ch, tf, e)
+                for w, ch, tf, e in zip(p.weights, channels, tau_fin, e_fin)
+            )
+            assert rel_gap(lanes.welfare_auction[k, t], welfare_auc) <= RTOL
+    return lanes
+
+
+def kernel_line(caplog):
+    [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("lanes:")]
+    return dict(field.split("=") for field in line.split()[1:])
+
+
+class TestAgainstScalar:
+    def test_defect_a_stops_at_ulp(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="pbwpcn")
+        params, channels = defect_a_instance()
+        solve_and_compare(params, [channels], [params.e_b_tot])
+        assert kernel_line(caplog)["ulp"] == "1"
+
+    def test_tie_clones_split_exactly(self, paper):
+        params, channels = paper
+        ch = channels[2]
+        budget = 2.0 * derive_pair(params, ch, 10.0).e_lim * 0.7
+        params2 = SystemParams(0.1, 1e-11, 0.5, 1.0, 2.0, (10.0, 10.0), 1.0)
+        lanes = solve_and_compare(params2, [[ch, ch]], [budget])
+        assert lanes.e_star[0, 0, 0] == lanes.e_star[0, 0, 1]
+
+    def test_near_cap_instance(self):
+        channels = draw_channels(ExperimentConfig(n_pairs=2, seed=0), 693)
+        solve_and_compare(table_params(n_pairs=2), [channels], [1.0])
+
+    def test_fig4_budgets(self, paper):
+        params, channels = paper
+        solve_and_compare(params, [channels], _FIG4_BUDGETS)
+
+    def test_zero_budget_gives_exact_zeros(self, paper):
+        params, channels = paper
+        lanes = solve_and_compare(params, [channels], [0.0])
+        assert lanes.e_star.tolist() == [[[0.0, 0.0, 0.0]]]
+        assert lanes.e_final.tolist() == [[[0.0, 0.0, 0.0]]]
+
+    def test_slack_budgets_quit(self, paper):
+        params, channels = paper
+        e_opt_sum = math.fsum(d.e_opt for d in derive_pairs(params, channels))
+        lanes = solve_and_compare(params, [channels], [1.01 * e_opt_sum, 10.0])
+        assert (lanes.nu == 0.0).all()
+        assert lanes.pb_quit.all()
+
+    def test_single_pair(self):
+        cfg = ExperimentConfig(n_pairs=1, seed=4)
+        trials = [draw_channels(cfg, t) for t in range(5)]
+        solve_and_compare(table_params(n_pairs=1), trials, [0.0, 0.05, 0.3, 1.0, 5.0])
+
+    def test_zero_reserve_price(self, paper):
+        params, channels = paper
+        solve_and_compare(params, [channels], [0.0, 0.4, 1.0, 2.5, 5.0], AuctionConfig(0.0, 1e-3))
+
+    def test_walk_steps_on_a_fine_ladder(self, caplog, paper):
+        # at a step far below the search's tolerance the first rung at or
+        # above nu is off by whole steps, which the walk corrects
+        caplog.set_level(logging.DEBUG, logger="pbwpcn")
+        params, channels = paper
+        budgets = [0.3, 0.7, 1.0, 1.9, 2.2]  # 0.3 and 0.7 step down, 1.9 up
+        solve_and_compare(params, [channels], budgets, AuctionConfig(step=1e-14))
+        assert int(kernel_line(caplog)["ladder_moves"]) > 0
+
+    def test_logs_one_line_per_call(self, caplog, paper):
+        caplog.set_level(logging.DEBUG, logger="pbwpcn")
+        params, channels = paper
+        solve_lanes(params, [channels], [derive_pairs(params, channels)], _FIG4_BUDGETS,
+                    AuctionConfig())
+        fields = kernel_line(caplog)
+        assert list(fields) == ["n", "slack", "cap", "binds", "ulp", "rf_steps",
+                                "newton_iters", "ladder_moves", "budget_residual"]
+        assert fields["n"] == "18"
+        assert sum(int(fields[r]) for r in ("slack", "cap", "binds", "ulp")) == 18
+        assert int(fields["rf_steps"]) > 0 and int(fields["newton_iters"]) > 0
+        assert float(fields["budget_residual"]) <= 1e-12
+
+
+@pytest.mark.parametrize("n_pairs", [1, 5, 8])
+@pytest.mark.parametrize("distance", [3.0, 30.0])
+def test_sweep_matches_the_scalar_loop(n_pairs, distance):
+    cfg = ExperimentConfig(n_pairs=n_pairs, d_ap_src=distance, d_pb_src=distance,
+                           pathloss_zeta=3.0, price_step=1e-3, trials=4, seed=2,
+                           e_b_tot_grid=(0.0, 1e-4, 0.01, 0.5, 4.0))
+    base = table_params(n_pairs=n_pairs)
+    trials = [draw_channels(cfg, t) for t in range(cfg.trials)]
+    for r in sweep(cfg):
+        params = dataclasses.replace(base, e_b_tot=r.e_b_tot)
+        coop = [waterfill(params, ch) for ch in trials]
+        auc = [auction_allocation(params, ch, cfg.auction_config) for ch in trials]
+        expected = {
+            "mean_e_coop": fmean([e for res in coop for e in res.e_star]),
+            "mean_tau_coop": fmean([t for res in coop for t in res.tau_star]),
+            "welfare_coop": fmean([res.welfare for res in coop]),
+            "mean_e_auction": fmean([e for a in auc for e in a[0]]),
+            "mean_tau_auction": fmean([t for a in auc for t in a[1]]),
+            "welfare_auction": fmean([
+                math.fsum(w * throughput(params, c, t, e)
+                          for w, c, t, e in zip(params.weights, ch, a[1], a[0]))
+                for ch, a in zip(trials, auc)
+            ]),
+        }
+        for name, value in expected.items():
+            assert getattr(r, name) == pytest.approx(value, rel=RTOL, abs=1e-300), name
+
