@@ -214,26 +214,23 @@ def solve_lanes(params, channels, deriveds, budgets, cfg) -> Lanes:
         def tau_of(e):
             if not np.all((0.0 <= e) & (e < p_pb)):
                 raise DomainError("e_pb must lie in [0, p_pb)")
-            zs = (z_dag - 1.0) * sig
-            return np.where(e <= e_lim, (zs - g * eta * e * k) / (zs + g * g * eta * params.p_ap),
-                            e / p_pb)
+            zs, tau_p = (z_dag - 1.0) * sig, e / p_pb
+            return np.where(e <= e_lim, np.maximum(
+                (zs - g * eta * e * k) / (zs + g * g * eta * params.p_ap), tau_p), tau_p)
 
-        def welfare(tau, e, live):
-            ok = (0.0 < tau) & (tau < 1.0) & (0.0 <= e) & (e <= tau * p_pb * (1.0 + 1e-12))
-            if not np.all(ok | ~live):
-                raise DomainError("throughput needs 0 < tau < 1 and 0 <= e_pb <= tau * p_pb")
+        def welfare(tau, e):
+            # social_welfare's checks; its ordering check implies throughput's
+            if not np.all((0.0 <= e / p_pb) & (e / p_pb <= tau) & (tau < 1.0)):
+                raise DomainError("need 0 <= e_pb / p_pb <= tau < 1")
+            if np.any(_sum(e) > budget * (1.0 + 1e-9) + 1e-12):
+                raise DomainError("total beacon energy exceeds the budget")
             snr = g * (eta * (tau * params.p_ap * g + e * k)) / ((1.0 - tau) * sig)
             rate = (1.0 - tau) * params.bandwidth_mhz * np.log1p(snr) / LN2
-            return _sum(np.where(live, np.asarray(params.weights) * rate, 0.0))
+            # no charging time, zero rate
+            return _sum(np.where(tau != 0.0, np.asarray(params.weights) * rate, 0.0))
         tau_star, tau_fin = tau_of(e_star), tau_of(e_fin)
-        s_star, tau_p = _sum(e_star), e_star / p_pb
-        if not np.all((0.0 <= tau_p) & (tau_p <= tau_star) & (tau_star < 1.0)):
-            raise DomainError("need 0 <= tau_prime <= tau < 1")
-        if np.any(s_star > budget * (1.0 + 1e-9) + 1e-12):
-            raise DomainError("total beacon energy exceeds the budget")
-        w_star = welfare(tau_star, e_star, tau_star != 0.0)  # no charging time, zero rate
-        w_fin = welfare(tau_fin, e_fin, np.ones(e_fin.shape, dtype=bool))
-        gap = np.abs(s_star - budget) / np.where(budget > 0.0, budget, 1.0)
+        w_star, w_fin = welfare(tau_star, e_star), welfare(tau_fin, e_fin)
+        gap = np.abs(_sum(e_star) - budget) / np.where(budget > 0.0, budget, 1.0)
     log.debug(
         "lanes: n=%d slack=%d cap=%d binds=%d ulp=%d rf_steps=%d newton_iters=%d "
         "ladder_moves=%d budget_residual=%.3g", tr.size, slack.sum(), cap.sum(), n_binds,

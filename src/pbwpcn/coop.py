@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConvergenceError, DomainError
-from .model import LN2, Allocation, PairChannel, SystemParams, social_welfare
+from .model import LN2, PairChannel, SystemParams, social_welfare
 from .roots import lambert_w0, solve_z
 
 log = logging.getLogger("pbwpcn")
@@ -80,7 +80,8 @@ def tau_of_e(params: SystemParams, ch: PairChannel, d: PairDerived, e_pb: float)
         sig = params.noise_w
         num = (d.z_dag - 1.0) * sig - ch.g_pow * params.eta * e_pb * ch.k_pow
         den = (d.z_dag - 1.0) * sig + ch.g_pow * ch.g_pow * params.eta * params.p_ap
-        return num / den
+        # equal at the knee, where num / den may round an ulp below e_pb / p_pb
+        return max(num / den, e_pb / params.p_pb)
     return e_pb / params.p_pb
 
 
@@ -334,12 +335,11 @@ def _regula_falsi(a, a_bids, b, b_bids, f_b, e_b_tot, announce):
     raise ConvergenceError(f"price search stalled on bracket ({a}, {b})")
 
 
-def pooled_waterfill(params: SystemParams, channels, deriveds):
-    """The one water-filling body: (WaterfillResult, ``bids_at``).
+def pooled_waterfill(params: SystemParams, channels, deriveds) -> WaterfillResult:
+    """The one water-filling body.
 
     ``waterfill`` and the cooperative protocol run it; ``batch.solve_lanes``
-    replays it over arrays.  ``bids_at`` is the search's pooled demand, its
-    oracles still warm.
+    replays it over arrays.
     """
     bids_at = pooled_bids(params, channels, deriveds)
     transcript: list = []
@@ -347,11 +347,10 @@ def pooled_waterfill(params: SystemParams, channels, deriveds):
     tau_star = tuple(
         tau_of_e(params, ch, d, e) for ch, d, e in zip(channels, deriveds, e_star)
     )
-    alloc = Allocation.from_energy(params, tau_star, e_star)
-    welfare = social_welfare(params, channels, alloc)
-    return WaterfillResult(nu, tuple(e_star), tau_star, welfare, rounds, transcript), bids_at
+    welfare = social_welfare(params, channels, tau_star, e_star)
+    return WaterfillResult(nu, tuple(e_star), tau_star, welfare, rounds, transcript)
 
 
 def waterfill(params: SystemParams, channels) -> WaterfillResult:
     """Budget-constrained welfare maximization over beacon energy splits."""
-    return pooled_waterfill(params, channels, derive_pairs(params, channels))[0]
+    return pooled_waterfill(params, channels, derive_pairs(params, channels))

@@ -22,7 +22,7 @@ from .coop import (  # derive_pair stays bound here: perfbench's tests restore i
     derive_pair, derive_pairs, tau_of_e, waterfill,
 )
 from .errors import DomainError
-from .model import PairChannel, SystemParams, throughput
+from .model import PairChannel, SystemParams, social_welfare
 
 
 def table_params(e_b_tot: float = 1.0, n_pairs: int = 3) -> SystemParams:
@@ -124,18 +124,10 @@ class SweepRecord:
     trials: int
 
 
-def _welfare(params: SystemParams, channels, taus, energies) -> float:
-    """Weighted sum-throughput of an allocation."""
-    return math.fsum(
-        w * throughput(params, ch, t, e)
-        for w, ch, t, e in zip(params.weights, channels, taus, energies)
-    )
-
-
 def _nopb_welfare(params: SystemParams, channels, deriveds) -> float:
     """Welfare when the beacon stays silent; it does not depend on the budget."""
     taus = [tau_of_e(params, ch, d, 0.0) for ch, d in zip(channels, deriveds)]
-    return _welfare(params, channels, taus, [0.0] * len(channels))
+    return social_welfare(params, channels, taus, [0.0] * len(channels))
 
 
 def sweep(cfg: ExperimentConfig) -> list[SweepRecord]:

@@ -76,46 +76,6 @@ class PairChannel:
             raise DomainError("k_pow must be nonnegative and finite")
 
 
-@dataclass(frozen=True)
-class Allocation:
-    """A feasible time/energy split for all pairs.
-
-    tau       : AP charging-time fractions, one per pair
-    tau_prime : beacon charging-time fractions
-    e_pb      : beacon energy per pair, e_pb[i] = tau_prime[i] * p_pb
-    """
-
-    tau: tuple[float, ...]
-    tau_prime: tuple[float, ...]
-    e_pb: tuple[float, ...]
-
-    def __post_init__(self):
-        n = len(self.tau)
-        if len(self.tau_prime) != n or len(self.e_pb) != n:
-            raise DomainError("tau, tau_prime and e_pb must have equal length")
-        for t, tp in zip(self.tau, self.tau_prime):
-            if not (0.0 <= tp <= t < 1.0):
-                raise DomainError(
-                    f"need 0 <= tau_prime <= tau < 1, got tau={t}, tau_prime={tp}"
-                )
-        if any(e < 0.0 for e in self.e_pb):
-            raise DomainError("e_pb must be nonnegative")
-
-    @classmethod
-    def from_energy(cls, params: SystemParams, tau, e_pb) -> "Allocation":
-        """Build an allocation from charging times and beacon energies."""
-        tau = tuple(float(t) for t in tau)
-        e_pb = tuple(float(e) for e in e_pb)
-        tau_prime = tuple(e / params.p_pb for e in e_pb)
-        alloc = cls(tau=tau, tau_prime=tau_prime, e_pb=e_pb)
-        budget = math.fsum(e_pb)
-        if budget > params.e_b_tot * (1.0 + 1e-9) + 1e-12:
-            raise DomainError(
-                f"total beacon energy {budget} exceeds budget {params.e_b_tot}"
-            )
-        return alloc
-
-
 def harvested_energy(
     params: SystemParams, ch: PairChannel, tau: float, tau_prime: float
 ) -> float:
@@ -141,13 +101,24 @@ def throughput(params: SystemParams, ch: PairChannel, tau: float, e_pb: float) -
     return (1.0 - tau) * params.bandwidth_mhz * math.log1p(snr) / LN2
 
 
-def social_welfare(params: SystemParams, channels, alloc: Allocation) -> float:
-    """Weighted sum-throughput over all pairs."""
-    if len(channels) != len(alloc.tau) or len(channels) != len(params.weights):
-        raise DomainError("channels, weights and allocation sizes differ")
-    total = 0.0
-    for lam, ch, tau, e in zip(params.weights, channels, alloc.tau, alloc.e_pb):
-        if tau == 0.0:
-            continue  # no charging time, zero rate
-        total += lam * throughput(params, ch, tau, e)
-    return total
+def social_welfare(params: SystemParams, channels, taus, energies) -> float:
+    """Weighted sum-throughput over all pairs, after checking the allocation.
+
+    ``taus`` are the AP charging-time fractions and ``energies`` the beacon
+    energies, one per pair.  Every pair needs ``0 <= e / p_pb <= tau < 1``
+    (the beacon charges no longer than the AP), and the energies must fit the
+    budget.  A pair with ``tau == 0`` has no charging time and adds nothing.
+    """
+    if not len(params.weights) == len(channels) == len(taus) == len(energies):
+        raise DomainError("weights, channels, taus and energies sizes differ")
+    for t, e in zip(taus, energies):
+        if not 0.0 <= e / params.p_pb <= t < 1.0:
+            raise DomainError(f"need 0 <= e_pb / p_pb <= tau < 1, got tau={t}, e_pb={e}")
+    total = math.fsum(energies)
+    if total > params.e_b_tot * (1.0 + 1e-9) + 1e-12:
+        raise DomainError(f"total beacon energy {total} exceeds budget {params.e_b_tot}")
+    return math.fsum(
+        w * throughput(params, ch, t, e)
+        for w, ch, t, e in zip(params.weights, channels, taus, energies)
+        if t != 0.0
+    )

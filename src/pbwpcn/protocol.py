@@ -185,7 +185,7 @@ def run_coop_protocol(
         bus.send(Message(MessageKind.ALPHA_REPORT, aid, PB_ID, d.alpha, 0))
         bus.send(Message(MessageKind.ELIM_REPORT, aid, PB_ID, d.e_lim, 0))
 
-    result, _ = pooled_waterfill(params, channels, deriveds)
+    result = pooled_waterfill(params, channels, deriveds)
     # a snapshot of the search's rounds: the caller may edit result.transcript
     rounds = tuple(
         (row["round"], row["nu"], tuple(row["bids"]))

@@ -26,8 +26,11 @@ from pbwpcn.experiments import (
     ExperimentConfig,
     draw_channels,
     load_paper_instance,
+    sweep,
     table_params,
 )
+from pbwpcn.model import social_welfare
+from pbwpcn.protocol import make_views, run_coop_protocol
 
 from conftest import (
     convex_solver_welfare,
@@ -141,6 +144,29 @@ class TestTauOfE:
         d = derive_pair(params, channels[0], 10.0)
         with pytest.raises(DomainError):
             tau_of_e(params, channels[0], d, params.p_pb)
+
+    def test_never_below_beacon_time(self):
+        # the linear branch meets e / p_pb at the knee and lies above it
+        # before; unclamped, it can round an ulp below there
+        params = table_params()
+        for trial in range(10):
+            channels = draw_channels(ExperimentConfig(seed=0), trial)
+            for ch, d in zip(channels, derive_pairs(params, channels)):
+                e = d.e_lim
+                for _ in range(61):
+                    assert tau_of_e(params, ch, d, e) >= e / params.p_pb
+                    e = math.nextafter(e, 0.0)
+
+    def test_budget_at_a_knee(self):
+        cfg = ExperimentConfig(n_pairs=3, seed=0)
+        channels = draw_channels(cfg, 0)
+        budget = 0.08244265259032821
+        params = dataclasses.replace(table_params(), e_b_tot=budget)
+        assert derive_pairs(params, channels)[1].e_lim == budget
+        res = waterfill(params, channels)
+        assert run_coop_protocol(*make_views(params, channels))[0] == res
+        (record,) = sweep(dataclasses.replace(cfg, trials=1, e_b_tot_grid=(budget,)))
+        assert record.welfare_coop == pytest.approx(res.welfare, rel=1e-12)
 
 
 class TestSOfE:
@@ -316,6 +342,13 @@ class TestWaterfill:
             assert 0.0 <= e
             assert 0.0 < t < 1.0
         assert res.welfare > 0.0
+
+    def test_welfare_is_social_welfare(self, paper):
+        params, channels = paper
+        for budget in (0.0, 0.3, 1.0, 5.0):
+            p = dataclasses.replace(params, e_b_tot=budget)
+            res = waterfill(p, channels)
+            assert res.welfare == social_welfare(p, channels, res.tau_star, res.e_star)
 
     def test_paper_slack_budget(self, paper):
         params, channels = paper

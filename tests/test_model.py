@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from pbwpcn import (
-    Allocation,
     DomainError,
     PairChannel,
     SystemParams,
@@ -57,13 +56,23 @@ class TestValidation:
             PairChannel(1e-6, bad)
 
     def test_allocation_ordering(self):
-        with pytest.raises(DomainError):
-            Allocation(tau=(0.2,), tau_prime=(0.5,), e_pb=(1.0,))
+        # social_welfare needs 0 <= e_pb / p_pb <= tau < 1 on every pair
+        params = make_params()
+        ch = [PairChannel(1e-5, 1e-4)]
+        for tau, e in ((0.2, 1.0), (1.0, 0.0), (1.5, 0.1), (0.5, -0.1), (math.nan, 0.0)):
+            with pytest.raises(DomainError, match="tau < 1"):
+                social_welfare(params, ch, (tau,), (e,))
+        assert social_welfare(params, ch, (0.5,), (1.0,)) > 0.0  # e_pb / p_pb == tau
 
     def test_allocation_budget(self):
         params = make_params(n=2, e_b_tot=0.5)
-        with pytest.raises(DomainError):
-            Allocation.from_energy(params, (0.5, 0.5), (0.6, 0.6))
+        ch = [PairChannel(1e-5, 1e-4)] * 2
+        with pytest.raises(DomainError, match="exceeds budget"):
+            social_welfare(params, ch, (0.5, 0.5), (0.6, 0.6))
+        # the budget check allows a relative 1e-9 of rounding
+        social_welfare(params, ch, (0.5, 0.5), (0.25, 0.25 * (1.0 + 1e-9)))
+        with pytest.raises(DomainError, match="exceeds budget"):
+            social_welfare(params, ch, (0.5, 0.5), (0.25, 0.25 * (1.0 + 4e-9)))
 
 
 class TestHarvestedEnergy:
@@ -184,18 +193,23 @@ class TestSocialWelfare:
     def test_zero_allocation(self):
         params = make_params(n=2)
         channels = [PairChannel(1e-5, 1e-4), PairChannel(2e-5, 3e-5)]
-        alloc = Allocation(tau=(0.0, 0.0), tau_prime=(0.0, 0.0), e_pb=(0.0, 0.0))
-        assert social_welfare(params, channels, alloc) == 0.0
+        assert social_welfare(params, channels, (0.0, 0.0), (0.0, 0.0)) == 0.0
 
     def test_single_pair_reduces_to_throughput(self):
         params = make_params(n=1)
         ch = PairChannel(1e-5, 1e-4)
-        alloc = Allocation.from_energy(params, (0.5,), (0.3,))
         expected = params.weights[0] * throughput(params, ch, 0.5, 0.3)
-        assert social_welfare(params, [ch], alloc) == pytest.approx(expected)
+        assert social_welfare(params, [ch], (0.5,), (0.3,)) == pytest.approx(expected)
 
     def test_dimension_mismatch(self):
         params = make_params(n=2)
-        alloc = Allocation(tau=(0.5,), tau_prime=(0.1,), e_pb=(0.2,))
-        with pytest.raises(DomainError):
-            social_welfare(params, [PairChannel(1e-5, 1e-4)] * 2, alloc)
+        ch = PairChannel(1e-5, 1e-4)
+        for channels, taus, energies in (
+            ([ch] * 2, (0.5,), (0.2,)),
+            ([ch] * 2, (0.5, 0.5), (0.2,)),
+            ([ch] * 2, (0.5,), (0.2, 0.2)),
+            ([ch], (0.5,), (0.2,)),
+            ([ch] * 3, (0.5,) * 3, (0.2,) * 3),
+        ):
+            with pytest.raises(DomainError, match="sizes differ"):
+                social_welfare(params, channels, taus, energies)
