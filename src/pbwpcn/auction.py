@@ -16,6 +16,9 @@ from array import array
 from dataclasses import dataclass, field
 from itertools import chain, pairwise
 
+import numpy as np
+
+from .batch import ladder_rows, ladder_top
 from .errors import DomainError
 from .model import PairChannel, SystemParams, throughput
 from .coop import (
@@ -32,6 +35,10 @@ from .coop import (
 # longest price ladder the walk climbs; a longer one is a configuration error,
 # since the walk keeps every round in its log
 MAX_LADDER_ROUNDS = 10_000_000
+# ladder rounds the walk prices per ``ladder_rows`` call: each call has a
+# fixed cost, and beyond about 64 rounds a block's temporaries outweigh the
+# packed log in the walk's peak memory per round
+LADDER_BLOCK = 64
 # margin of cumulative_clinch's screen, relative to the bids' total
 _SCREEN_EPS = 4.0 * sys.float_info.epsilon
 
@@ -142,6 +149,20 @@ def _clinch_vector(e_b_tot: float, bids, total: float) -> list[float]:
     ]
 
 
+def _row_sums(rows) -> list[float]:
+    """``math.fsum`` of each row of a 2-D array, read as one flat list: a
+    list per row would leave a block's worth of them in the free lists."""
+    flat, n = rows.ravel().tolist(), rows.shape[1]
+    return [math.fsum(flat[i:i + n]) for i in range(0, len(flat), n)]
+
+
+def _screened_rows(e_b_tot: float, rows, totals):
+    """Which rows of the array ``rows``, whose ``math.fsum`` are ``totals``,
+    clear ``_clinch_vector``'s screen on every entry and so clinch nothing."""
+    total = np.array(totals)[:, None]
+    return (total - rows > e_b_tot + _SCREEN_EPS * total).all(axis=1).tolist()
+
+
 def payment(mu_sequence, clinch_sequence) -> list[float]:
     """Per-bidder payment: each clinch increment priced at its round's price.
 
@@ -175,21 +196,6 @@ def _payments(prices, clinched, n: int, start: int = 0) -> list[float]:
     return pay
 
 
-def ladder_top(deriveds, cfg: AuctionConfig) -> int:
-    """First ladder index whose price reaches every bidder's cap.
-
-    Every bid there is zero, so aggregate demand has fallen to the budget.
-    """
-    alpha_max = max((d.alpha for d in deriveds), default=0.0)
-    span = (alpha_max - cfg.reserve_price) / cfg.step
-    if not span < math.inf:
-        raise DomainError(f"price step {cfg.step} gives no finite ladder")
-    t_top = math.ceil(max(span, 1.0))
-    if cfg.reserve_price + t_top * cfg.step < alpha_max:
-        t_top += 1  # the rounded quotient can leave the price one ulp short
-    return t_top
-
-
 def walk_top(deriveds, cfg: AuctionConfig) -> int:
     """``ladder_top`` of a ladder short enough for ``run_auction`` to walk."""
     t_top = ladder_top(deriveds, cfg)
@@ -203,34 +209,42 @@ def walk_top(deriveds, cfg: AuctionConfig) -> int:
 def run_auction(params: SystemParams, channels, cfg: AuctionConfig) -> AuctionOutcome:
     """The ascending clinching auction: the ladder walk, its close and payments.
 
-    Each round gathers every pair's (nonnegative) bid from its demand oracle;
-    only the budget and those bids drive the walk.  Each round goes to a
-    packed ``LadderLog``, which the message-passing protocol relays.
+    The walk prices ``LADDER_BLOCK`` rounds at a time through ``ladder_rows``
+    and stops at the first round whose bids fit the budget; only the budget
+    and those (nonnegative) bids drive it.  Each round goes to a packed
+    ``LadderLog``, which the message-passing protocol relays.
     """
     deriveds = derive_pairs(params, channels)
     t_top = walk_top(deriveds, cfg)
-    bids_at = pooled_bids(params, channels, deriveds)
     budget = params.e_b_tot
     n = len(deriveds)
     prices, bid_log, clinched = _doubles(), _doubles(), _doubles()
     start = None  # the first round that clinches anything
     prev_bids = None
-    for t in range(t_top + 1):
-        mu = cfg.reserve_price + t * cfg.step
-        bids = bids_at(mu, t)
-        total = math.fsum(bids)
-        if total <= budget:
+    no_clinch = array("d", bytes(8 * n))
+    for t0 in range(0, t_top + 1, LADDER_BLOCK):
+        block = ladder_rows(params, deriveds, cfg, t0, min(t0 + LADDER_BLOCK, t_top + 1))
+        totals = _row_sums(block)
+        # the walk closes at the first round whose bids fit the budget; every
+        # bid is zero at the ladder top, so it closes there at the latest
+        k = next((k for k, total in enumerate(totals) if total <= budget), len(totals))
+        for i, cleared in enumerate(_screened_rows(budget, block[:k], totals[:k])):
+            if cleared:
+                clinched.extend(no_clinch)
+                continue
+            row = _clinch_vector(budget, block[i].tolist(), totals[i])
+            if start is None and any(row):
+                start = t0 + i
+            clinched.extend(row)
+        walked = min(k + 1, len(totals))  # the walked rounds and the close
+        prices.extend(cfg.reserve_price + t * cfg.step for t in range(t0, t0 + walked))
+        bid_log.frombytes(block[:walked].tobytes())
+        if k:
+            prev_bids = block[k - 1].tolist()
+        if k < len(totals):
+            bids, t = block[k].tolist(), t0 + k
             break
-        row = _clinch_vector(budget, bids, total)
-        if start is None and any(row):
-            start = t
-        prices.append(mu)
-        bid_log.extend(bids)
-        clinched.extend(row)
-        prev_bids = bids
-    prices.append(mu)
-    bid_log.extend(bids)
-    if prev_bids is None:
+    if t == 0:
         # demand never exceeds supply at the reserve price: no trade
         e_final = pay = (0.0,) * n
     else:
@@ -251,28 +265,29 @@ def run_auction(params: SystemParams, channels, cfg: AuctionConfig) -> AuctionOu
         ap_utility=ap_util,
         pb_utility=math.fsum(pay),
         rounds_used=len(prices),
-        pb_quit=prev_bids is None,
-        log=LadderLog(n, prices, bid_log, clinched, prev_bids is None),
+        pb_quit=t == 0,
+        log=LadderLog(n, prices, bid_log, clinched, t == 0),
     )
 
 
-def ladder_close(params, channels, deriveds, nu, bids_at, t_top, cfg, transcript=()):
+def ladder_close(params, channels, deriveds, nu, t_top, cfg):
     """Close the auction at the first ladder round priced at or above ``nu``.
 
     Both mechanisms share one demand, so the water-filling price locates the
-    close; single steps keep it exact from any ``nu``.  ``bids_at(mu, t)``
-    gathers round ``t``'s bids unless the search's ``transcript`` holds them.
+    close; single steps keep it exact from any ``nu``.  Rounds are read
+    through ``ladder_rows``, as the walk reads them, so the close is the walk's.
     """
-    gathered = {row["nu"]: row["bids"] for row in transcript if "bids" in row}
+    t = math.ceil(min(max((nu - cfg.reserve_price) / cfg.step, 0.0), t_top))
+    # the close and the round before it, in one block
+    t0 = max(t - 1, 0)
+    rows = dict(enumerate(ladder_rows(params, deriveds, cfg, t0, t + 1).tolist(), t0))
 
     def bids(t):
-        mu = cfg.reserve_price + t * cfg.step
-        if mu not in gathered:
-            gathered[mu] = bids_at(mu, t)
-        return gathered[mu]
+        if t not in rows:
+            rows[t] = ladder_rows(params, deriveds, cfg, t, t + 1)[0].tolist()
+        return rows[t]
 
     # every bid is zero at the ladder top, so demand there never exceeds the budget
-    t = math.ceil(min(max((nu - cfg.reserve_price) / cfg.step, 0.0), t_top))
     while t < t_top and math.fsum(bids(t)) > params.e_b_tot:
         t += 1
     while t > 0 and math.fsum(bids(t - 1)) <= params.e_b_tot:
@@ -290,12 +305,11 @@ def auction_allocation(params: SystemParams, channels, cfg: AuctionConfig):
     """Fast path to the final allocation only (no transcript, no payments).
 
     Price search, then round up to the ladder: ``ladder_close`` starts from
-    the search's dual price and reuses the bids it gathered.
+    the search's dual price and reads the ladder's rows as the walk does.
     Returns (e_final, tau_final, pb_quit, rounds_used).
     """
     deriveds = derive_pairs(params, channels)
     t_top = ladder_top(deriveds, cfg)  # a bad ladder fails before any bid
     bids_at = pooled_bids(params, channels, deriveds)
-    transcript: list = []
-    nu, _, _ = price_search(deriveds, params.e_b_tot, bids_at, transcript)
-    return ladder_close(params, channels, deriveds, nu, bids_at, t_top, cfg, transcript)
+    nu, _, _ = price_search(deriveds, params.e_b_tot, bids_at, [])
+    return ladder_close(params, channels, deriveds, nu, t_top, cfg)

@@ -1,8 +1,11 @@
-"""Water-filling and its ladder close for a batch of (trial, budget) lanes.
+"""Array demands: the auction ladder's rows, and water-filling and its
+ladder close for a batch of (trial, budget) lanes.
 
-The decisions of ``price_search`` and ``ladder_close`` on every lane at once,
-over float64 arrays indexed by (lane, pair); each check of the scalar path is
-an array check raising the same error type.  The scalar path is its oracle.
+``ladder_rows`` prices a block of ladder rounds at once for the walk and the
+fast close.  ``solve_lanes`` takes the decisions of ``price_search`` and
+``ladder_close`` on every lane at once, over float64 arrays indexed by
+(lane, pair); each check of the scalar path is an array check raising the
+same error type.  The scalar path is the oracle of both.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from collections import namedtuple
 
 import numpy as np
 
-from .auction import ladder_top
 from .coop import _alpha_groups
 from .errors import ConvergenceError, DomainError
 from .model import LN2
@@ -41,7 +43,8 @@ def _sum(a):
 
 def _solve_u(x, y, u0, stats):
     """``solve_z(x, y, 1 + u0) - 1.0`` elementwise, by the same safeguarded
-    Newton; a ``u0`` outside the bracket, or NaN, starts cold."""
+    Newton; a ``u0`` outside the bracket, or NaN, starts cold.  Each step
+    works in place, so a block of ladder rounds holds few temporaries."""
     if not np.all((y >= 0.0) & (x > y)):
         raise DomainError("solve_z needs x_target > y_coef >= 0")
     d = x - y
@@ -50,38 +53,84 @@ def _solve_u(x, y, u0, stats):
                  np.where(d < 1.0, np.sqrt(2.0 * d), d / np.log1p(d)))
     out, todo = np.empty_like(d), np.ones(d.shape, dtype=bool)
     for it in range(1, _MAX_ITER + 1):
-        log1p_u = np.log1p(u)
-        h = (1.0 + u) * log1p_u - u
+        slope = np.log1p(u)
+        resid = 1.0 + u
+        resid *= slope
+        resid -= u  # h(u) = (1 + u) * log1p(u) - u
         small = u < 1e-2
         if small.any():
             s = u[small]  # h by its series, as in solve_z: the closed form cancels
-            h[small] = s * s * (1 / 2 - s * (1 / 6 - s * (1 / 12 - s * (1 / 20 - s * (
+            resid[small] = s * s * (1 / 2 - s * (1 / 6 - s * (1 / 12 - s * (1 / 20 - s * (
                 1 / 30 - s * (1 / 42 - s * (1 / 56 - s / 72)))))))
-        resid = h + y * u - d
+        resid += y * u
+        resid -= d
         up = resid > 0.0
-        lo, hi = np.where(up, lo, u), np.where(up, u, hi)
-        u_new = u - resid / (log1p_u + y)
-        done = todo & (np.abs(resid) <= tol)
-        out[done] = u_new[done]
-        todo &= ~done
+        np.copyto(hi, u, where=up)
+        np.copyto(lo, u, where=~up)
+        slope += y
+        step = np.divide(resid, slope, out=slope)
+        u_new = np.subtract(u, step, out=step)
+        done = np.abs(resid) <= tol
+        done &= todo
+        np.copyto(out, u_new, where=done)
+        todo ^= done
         if not todo.any():
             stats["newton"] = max(stats["newton"], it)
-            return (1.0 + out) - 1.0  # gamma reads z - 1 off z = 1 + u
-        u = np.where((lo <= u_new) & (u_new <= hi), u_new, 0.5 * (lo + hi))
+            out += 1.0
+            out -= 1.0  # gamma reads z - 1 off z = 1 + u
+            return out
+        u = np.add(lo, hi, out=u)
+        u *= 0.5
+        inside = lo <= u_new
+        inside &= u_new <= hi
+        np.copyto(u, u_new, where=inside)
     raise ConvergenceError(f"solve_z did not converge on {todo.sum()} demands")
 
 
 def _demand(p_pb, x, alpha, lam_w, zh, nu, stats):
     """``demand_oracle`` bids of every pair at its row's price ``nu``; ``zh``
-    holds each oracle's warm start, updated in place."""
+    holds each oracle's warm start, updated in place, or is None: every
+    root starts cold."""
     live = nu < alpha
-    e = np.zeros(alpha.shape)
-    if live.any():
-        xs = x[live]
-        zm1 = _solve_u(xs, (nu * p_pb * LN2 / lam_w)[live], zh[live] - 1.0, stats)
-        e[live] = es = p_pb * zm1 / (zm1 + xs)
+    if not live.any():
+        return np.zeros(live.shape)
+    xs = np.broadcast_to(x, live.shape)[live]
+    u0 = np.nan if zh is None else zh[live] - 1.0
+    zm1 = _solve_u(xs, (nu * p_pb * LN2 / lam_w)[live], u0, stats)
+    e = np.zeros(live.shape)
+    e[live] = es = p_pb * zm1 / (zm1 + xs)
+    if zh is not None:
         zh[live] = 1.0 + xs * es / (p_pb - es)
     return e
+
+
+def ladder_top(deriveds, cfg) -> int:
+    """First ladder index whose price reaches every bidder's cap.
+
+    Every bid there is zero, so aggregate demand has fallen to the budget.
+    """
+    alpha_max = max((d.alpha for d in deriveds), default=0.0)
+    span = (alpha_max - cfg.reserve_price) / cfg.step
+    if not span < math.inf:
+        raise DomainError(f"price step {cfg.step} gives no finite ladder")
+    t_top = math.ceil(max(span, 1.0))
+    if cfg.reserve_price + t_top * cfg.step < alpha_max:
+        t_top += 1  # the rounded quotient can leave the price one ulp short
+    return t_top
+
+
+def ladder_rows(params, deriveds, cfg, t0: int, t1: int):
+    """``demand_oracle`` bids of every pair in ladder rounds ``t0 .. t1 - 1``,
+    shaped (t1 - t0, n); round t is priced ``cfg.reserve_price + t * cfg.step``.
+
+    Every root starts cold, so an entry depends on its pair and round alone:
+    a row has the same bits whichever block it is read in.
+    """
+    x, alpha, lam_w = (np.array([getattr(d, f) for d in deriveds])
+                       for f in ("x_const", "alpha", "lam_w"))
+    mu = cfg.reserve_price + np.arange(t0, t1)[:, None] * cfg.step
+    with np.errstate(all="ignore"):
+        return _demand(params.p_pb, x, alpha, lam_w, None, mu, {"newton": 0})
 
 
 def _prr(budget, last, prev):

@@ -228,7 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("PBWPCN_LOG", "WARNING").upper())
+    level = os.environ.get("PBWPCN_LOG", "WARNING")
+    # getLevelName maps a level's name to its number, anything else to a string
+    if not isinstance(logging.getLevelName(level.upper()), int):
+        print(f"config error: PBWPCN_LOG={level!r} names no logging level", file=sys.stderr)
+        return 2
+    logging.basicConfig(level=level.upper())
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -81,6 +81,8 @@ class ExperimentConfig:
                 )
         if self.trials < 1 or self.antennas_m < 1 or self.n_pairs < 1:
             raise DomainError("trials, antennas_m and n_pairs must be >= 1")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         if any(not 0.0 <= e < math.inf for e in self.e_b_tot_grid):
             raise DomainError("e_b_tot_grid entries must be nonnegative and finite")
 

@@ -22,6 +22,7 @@ from pbwpcn import (
 )
 from pbwpcn import auction, coop
 from pbwpcn.auction import MAX_LADDER_ROUNDS
+from pbwpcn.batch import ladder_rows
 
 from conftest import bytes_per_round, random_instance
 
@@ -145,6 +146,30 @@ class TestCumulativeClinch:
                     expected = [repr(max(0.0, budget - o)) for o in others]
                     got = cumulative_clinch(budget, bids)
                     assert [repr(e) for e in got] == expected, (bids, budget)
+
+    def test_screened_rows_clinch_nothing(self):
+        # the walk's screen of whole rows is _clinch_vector's, entry by entry;
+        # a row it clears clinches +0.0 everywhere
+        rng = np.random.default_rng(24)
+        for n in range(1, 9):
+            rows = rng.exponential(size=(40, n))
+            rows[rng.uniform(size=rows.shape) < 0.2] = 0.0
+            totals = [math.fsum(r) for r in rows.tolist()]
+            budgets = [float(b) for b in np.median(totals) * rng.uniform(0.0, 1.5, size=6)]
+            # rival sums and the budgets one ulp either side, where the screen is tight
+            for row in rows.tolist()[:5]:
+                for i in range(n):
+                    rivals = math.fsum(row[:i] + row[i + 1:])
+                    budgets += [math.nextafter(rivals, -math.inf), rivals,
+                                math.nextafter(rivals, math.inf)]
+            for budget in budgets:
+                screened = auction._screened_rows(budget, rows, totals)
+                for row, total, cleared in zip(rows.tolist(), totals, screened):
+                    cut = budget + auction._SCREEN_EPS * total
+                    assert cleared == all(total - b > cut for b in row)
+                    if cleared:
+                        got = auction._clinch_vector(budget, row, total)
+                        assert [repr(c) for c in got] == ["0.0"] * n
 
 
 class TestFinalClinchPrr:
@@ -336,9 +361,10 @@ class TestRunAuction:
     @pytest.mark.parametrize(
         "step, digest",
         [
-            (0.01, "625bb1f46dfd83b8d8a3824c63d2c11f7d81d5ea3ec0a66a001da17267651bbe"),
-            (1e-3, "c7cdec1634c1b7efa86a4e08bac3bdda3e99c1414ee72f02ce78b72c20933cce"),
+            (0.01, "da00b828d5f13ea9b3c0b32223e76a16e0e409f7c99286e78be1e7b26e564519"),
+            (1e-3, "82ba548741184ef396cd40a142a90a21074b316aec4a2b1058cf4a49ea04083b"),
         ],
+        ids=["0.01", "0.001"],
     )
     def test_transcript_golden_digest(self, paper, step, digest):
         params, channels = paper
@@ -360,8 +386,9 @@ class TestAuctionAllocation:
         cfg = AuctionConfig()
         full = run_auction(params, channels, cfg)
         e_fin, tau_fin, quit_, rounds = auction_allocation(params, channels, cfg)
-        assert e_fin == pytest.approx(full.e_final, rel=1e-12)
-        assert tau_fin == pytest.approx(full.tau_final, rel=1e-12)
+        # the close reads the walk's rows: the same bits
+        assert e_fin == full.e_final
+        assert tau_fin == full.tau_final
         assert quit_ == full.pb_quit
         assert rounds == full.rounds_used
 
@@ -374,7 +401,8 @@ class TestAuctionAllocation:
             e_fin, tau_fin, quit_, rounds = auction_allocation(params, channels, cfg)
             assert quit_ == full.pb_quit
             assert rounds == full.rounds_used
-            assert e_fin == pytest.approx(full.e_final, rel=1e-10, abs=1e-12)
+            assert e_fin == full.e_final
+            assert tau_fin == full.tau_final
 
     def test_quit_path(self, paper):
         params, channels = paper
@@ -405,8 +433,8 @@ class TestAuctionAllocation:
         e_fin, tau_fin, quit_, rounds = auction_allocation(params, channels, cfg)
         assert not quit_
         assert rounds == n + 2
-        assert e_fin == pytest.approx(full.e_final, rel=1e-12, abs=1e-15)
-        assert tau_fin == pytest.approx(full.tau_final, rel=1e-12)
+        assert e_fin == full.e_final
+        assert tau_fin == full.tau_final
 
     def test_accepts_a_ladder_too_long_to_walk(self, paper):
         params, channels = paper
@@ -417,7 +445,9 @@ class TestAuctionAllocation:
         assert math.fsum(e_fin) == pytest.approx(params.e_b_tot, abs=1e-12)
 
     def test_no_price_evaluated_twice(self, paper, monkeypatch):
-        # the search hands the bid vectors it gathered to the close
+        # the search prices each of its levels once through the oracles; the
+        # close reads each ladder round once, through ladder_rows as the walk
+        # does, and never through the oracles
         original = coop.gamma
         calls = []
 
@@ -425,8 +455,16 @@ class TestAuctionAllocation:
             calls.append((d, nu))
             return original(params, ch, d, nu, *args, **kwargs)
 
+        original_rows = auction.ladder_rows
+        rounds = []
+
+        def recording_rows(params, deriveds, cfg, t0, t1):
+            rounds.extend(range(t0, t1))
+            return original_rows(params, deriveds, cfg, t0, t1)
+
         monkeypatch.setattr(coop, "gamma", recording_gamma)
         monkeypatch.setattr(auction, "gamma", recording_gamma)
+        monkeypatch.setattr(auction, "ladder_rows", recording_rows)
         rng = np.random.default_rng(22)
         params, channels = paper
         cases = [(params, channels, AuctionConfig())]
@@ -448,9 +486,12 @@ class TestAuctionAllocation:
             cases.append((params, channels, cfg))
         for params, channels, cfg in cases:
             calls.clear()
-            auction_allocation(params, channels, cfg)
+            rounds.clear()
+            _, _, _, used = auction_allocation(params, channels, cfg)
             assert calls
             assert len(set(calls)) == len(calls)
+            assert used - 1 in rounds
+            assert len(set(rounds)) == len(rounds)
 
 
 class TestLadderClose:
@@ -478,14 +519,80 @@ class TestLadderClose:
             prices = [nu_star + k * cfg.step for k in (-3, -1, 1, 3)]
             prices += [0.0, alpha_max, cfg.reserve_price + (t_top + 5) * cfg.step]
             for nu in prices:
-                bids_at = coop.pooled_bids(params, channels, ds)
                 e_fin, tau_fin, quit_, rounds = auction.ladder_close(
-                    params, channels, ds, nu, bids_at, t_top, cfg
+                    params, channels, ds, nu, t_top, cfg
                 )
                 assert quit_ == full.pb_quit
                 assert rounds == full.rounds_used
-                assert e_fin == pytest.approx(full.e_final, rel=1e-12)
-                assert tau_fin == pytest.approx(full.tau_final, rel=1e-12)
+                assert e_fin == full.e_final
+                assert tau_fin == full.tau_final
+
+
+class TestLadderBlocks:
+    """Closes where the walk's blocks of rounds begin and end."""
+
+    @staticmethod
+    def budget_closing_at(params, channels, cfg, t, exact):
+        """A budget whose walk closes at round ``t``: the demand of round t,
+        or (``exact`` false) halfway to round t - 1's."""
+        rows = ladder_rows(params, coop.derive_pairs(params, channels), cfg, max(t - 1, 0), t + 1)
+        total = math.fsum(rows[-1].tolist())
+        if exact or t == 0:
+            return total
+        return 0.5 * (total + math.fsum(rows[0].tolist()))
+
+    def check_close(self, params, channels, cfg, t_close):
+        full = run_auction(params, channels, cfg)
+        assert full.rounds_used == t_close + 1
+        assert full.pb_quit == (t_close == 0)
+        fast = auction_allocation(params, channels, cfg)
+        assert fast == (full.e_final, full.tau_final, full.pb_quit, full.rounds_used)
+        ds = coop.derive_pairs(params, channels)
+        rows = ladder_rows(params, ds, cfg, 0, t_close + 1)
+        assert full.log.bids.tobytes() == rows.tobytes()
+        if full.pb_quit:
+            assert len(full.log.clinched) == 0
+            return
+        n, log = len(channels), full.log
+        clinch_rows = [log.clinched[t * n:(t + 1) * n].tolist() for t in range(t_close + 1)]
+        for t in range(t_close):
+            bids = rows[t].tolist()
+            expected = auction._clinch_vector(params.e_b_tot, bids, math.fsum(bids))
+            assert [repr(c) for c in clinch_rows[t]] == [repr(c) for c in expected], t
+        assert clinch_rows[-1] == list(full.e_final)
+        assert list(full.payment) == payment(list(log.prices), clinch_rows)
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["at-demand", "between"])
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 63, 64, 65])
+    def test_close_at_a_block_edge(self, paper, offset, exact):
+        params, channels = paper
+        cfg = AuctionConfig()
+        t = auction.LADDER_BLOCK + offset
+        budget = self.budget_closing_at(params, channels, cfg, t, exact)
+        self.check_close(dataclasses.replace(params, e_b_tot=budget), channels, cfg, t)
+
+    def test_quit_at_round_zero(self, paper):
+        params, channels = paper
+        cfg = AuctionConfig()
+        budget = self.budget_closing_at(params, channels, cfg, 0, True)
+        self.check_close(dataclasses.replace(params, e_b_tot=budget), channels, cfg, 0)
+
+    def test_close_at_the_ladder_top(self, paper):
+        # with no budget every pair must drop out: the close is the ladder top
+        params, channels = paper
+        cfg = AuctionConfig()
+        top = auction.ladder_top(coop.derive_pairs(params, channels), cfg)
+        self.check_close(dataclasses.replace(params, e_b_tot=0.0), channels, cfg, top)
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 1000])
+    def test_block_size_leaves_the_outcome(self, paper, monkeypatch, block):
+        params, channels = paper
+        for budget in (0.3, 1.0, 3.0):
+            p = dataclasses.replace(params, e_b_tot=budget)
+            expected = run_auction(p, channels, AuctionConfig())
+            monkeypatch.setattr(auction, "LADDER_BLOCK", block)
+            assert run_auction(p, channels, AuctionConfig()) == expected
+            monkeypatch.undo()
 
 
 class TestLadderLength:

@@ -19,9 +19,10 @@ from pbwpcn import (
     throughput,
     waterfill,
 )
-from pbwpcn.batch import solve_lanes
-from pbwpcn.coop import derive_pairs
-from pbwpcn.experiments import _FIG4_BUDGETS, table_params
+from pbwpcn.batch import ladder_rows, ladder_top, solve_lanes
+from pbwpcn.coop import demand_oracle, derive_pairs
+from pbwpcn.experiments import _FIG4_BUDGETS, load_paper_instance, table_params
+from conftest import random_instance
 from test_coop import defect_a_instance
 
 RTOL = 1e-12
@@ -160,3 +161,57 @@ def test_sweep_matches_the_scalar_loop(n_pairs, distance):
         for name, value in expected.items():
             assert getattr(r, name) == pytest.approx(value, rel=RTOL, abs=1e-300), name
 
+
+def ladders():
+    """(params, channels, cfg) of the paper instance at two steps, 20 random
+    instances, and a reserve price between the paper's caps."""
+    params, channels = load_paper_instance()
+    yield params, channels, AuctionConfig(step=0.01)
+    yield params, channels, AuctionConfig(step=1e-3)
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        p, chs, _ = random_instance(rng, int(rng.integers(1, 9)))
+        yield p, chs, AuctionConfig(step=float(rng.uniform(0.005, 0.05)))
+    caps = sorted(d.alpha for d in derive_pairs(params, channels))
+    yield params, channels, AuctionConfig(reserve_price=0.5 * (caps[0] + caps[1]), step=0.01)
+
+
+class TestLadderRows:
+    def test_rows_match_the_scalar_oracles(self):
+        # each round's bids as demand_oracle gives them walking up the ladder
+        mixed = False
+        for params, channels, cfg in ladders():
+            ds = derive_pairs(params, channels)
+            top = ladder_top(ds, cfg)
+            rows = ladder_rows(params, ds, cfg, 0, top + 1)
+            assert rows.shape == (top + 1, len(ds))
+            oracles = [demand_oracle(params, ch, d) for ch, d in zip(channels, ds)]
+            for t, row in enumerate(rows):
+                mu = cfg.reserve_price + t * cfg.step
+                expected = np.array([bid(mu) for bid in oracles])
+                assert np.array_equal(row == 0.0, expected == 0.0), (cfg, t)
+                assert np.all(np.abs(row - expected) <= 1e-12 * expected), (cfg, t)
+                mixed |= bool(row.any() and not row.all())
+            assert not rows[-1].any()
+        assert mixed  # some rows hold live and dropped pairs at once
+
+    def test_a_row_has_the_same_bits_alone_and_in_any_block(self):
+        rng = np.random.default_rng(43)
+        for params, channels, cfg in ladders():
+            ds = derive_pairs(params, channels)
+            top = ladder_top(ds, cfg)
+            whole = ladder_rows(params, ds, cfg, 0, top + 1)
+            for t in map(int, rng.integers(0, top + 1, size=10)):
+                assert ladder_rows(params, ds, cfg, t, t + 1).tobytes() == whole[t].tobytes()
+            for _ in range(5):
+                t0 = int(rng.integers(0, top + 1))
+                t1 = int(rng.integers(t0 + 1, top + 2))
+                assert ladder_rows(params, ds, cfg, t0, t1).tobytes() == whole[t0:t1].tobytes()
+
+    def test_rounds_past_the_top_bid_nothing(self, paper):
+        params, channels = paper
+        ds = derive_pairs(params, channels)
+        cfg = AuctionConfig()
+        top = ladder_top(ds, cfg)
+        assert not ladder_rows(params, ds, cfg, top, top + 100).any()
+        assert ladder_rows(params, ds, cfg, 5, 5).shape == (0, 3)

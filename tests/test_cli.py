@@ -290,6 +290,34 @@ class TestConfigErrors:
         assert main(["coop", "--ebtot", value]) == 2
         assert "e_b_tot" in capsys.readouterr().err
 
+    def test_unknown_log_level(self, capsys, monkeypatch):
+        monkeypatch.setenv("PBWPCN_LOG", "bogus")
+        assert main(["coop"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err and "PBWPCN_LOG" in captured.err
+
+    @pytest.mark.parametrize("level", ["debug", "Info", "WARN", "ERROR"])
+    def test_known_log_level(self, capsys, monkeypatch, level):
+        monkeypatch.setenv("PBWPCN_LOG", level)
+        assert main(["paper-instance"]) == 0
+
+    def test_negative_seed_flag(self, capsys, tmp_path):
+        out = tmp_path / "out"
+        assert main(["sweep", "--trials", "2", "--seed", "-1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "seed" in err
+        assert not out.exists()
+
+    def test_negative_seed_in_config(self, capsys, tmp_path):
+        out = tmp_path / "out"
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"trials": 2, "seed": -1}))
+        assert main(["--config", str(cfg), "sweep", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "seed" in err
+        assert not out.exists()
+
     def test_no_outputs_on_config_error(self, capsys, tmp_path):
         out = tmp_path / "out"
         cfg = tmp_path / "bad.json"

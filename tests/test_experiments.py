@@ -41,6 +41,12 @@ class TestConfig:
         with pytest.raises(DomainError):
             ExperimentConfig(e_b_tot_grid=(-1.0,))
 
+    def test_seed_is_nonnegative(self):
+        # SeedSequence takes no negative entropy: the config rejects it first
+        with pytest.raises(DomainError, match="seed"):
+            ExperimentConfig(seed=-1)
+        assert ExperimentConfig(seed=0).seed == 0
+
 
 class TestPathloss:
     def test_reference_distance(self):

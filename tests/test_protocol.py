@@ -445,9 +445,10 @@ def test_protocol_memory_per_round(paper):
 @pytest.mark.parametrize(
     "step, digest",
     [
-        (0.01, "bf5a014d81d908bb72470d5a1297f04f8ef9e036863e0048401ab9eeecb9f7d6"),
-        (1e-3, "a7ffc6f8681576d94d517a6e3862e1d39d2d4641167708558c686e5a98bc0a0d"),
+        (0.01, "db47f81bd198378e81a9fa67662cecdcf208496ff5ad502f0bed031dcd07ab1f"),
+        (1e-3, "9c655fac8a9702d4271feded1b13be2f6859a30d5f76932c48bae3caf0960c8c"),
     ],
+    ids=["0.01", "0.001"],
 )
 def test_auction_bus_golden_digest(paper, step, digest):
     params, channels = paper
