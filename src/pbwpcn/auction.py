@@ -310,6 +310,7 @@ def auction_allocation(params: SystemParams, channels, cfg: AuctionConfig):
     """
     deriveds = derive_pairs(params, channels)
     t_top = ladder_top(deriveds, cfg)  # a bad ladder fails before any bid
-    bids_at = pooled_bids(params, channels, deriveds)
-    nu, _, _ = price_search(deriveds, params.e_b_tot, bids_at, [])
+    stats = {"newton": 0}
+    bids_at = pooled_bids(params, deriveds, stats)
+    nu, _, _ = price_search(deriveds, params.e_b_tot, bids_at, [], stats)
     return ladder_close(params, channels, deriveds, nu, t_top, cfg)

@@ -1,11 +1,11 @@
-"""Array demands: the auction ladder's rows, and water-filling and its
+"""Array demands: every pair's bid at a price, and water-filling and its
 ladder close for a batch of (trial, budget) lanes.
 
-``ladder_rows`` prices a block of ladder rounds at once for the walk and the
-fast close.  ``solve_lanes`` takes the decisions of ``price_search`` and
-``ladder_close`` on every lane at once, over float64 arrays indexed by
-(lane, pair); each check of the scalar path is an array check raising the
-same error type.  The scalar path is the oracle of both.
+``_demand`` is the one demand: ``coop.pooled_bids`` calls it once per price
+and ``ladder_rows`` once per block of ladder rounds.  ``solve_lanes`` takes
+the decisions of ``price_search`` and ``ladder_close`` on every lane at once,
+over float64 arrays indexed by (lane, pair); each scalar check is an array
+check raising the same error type.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from collections import namedtuple
 
 import numpy as np
 
-from .coop import _alpha_groups
 from .errors import ConvergenceError, DomainError
 from .model import LN2
 from .roots import _ABS_TOL, _MAX_ITER
@@ -39,6 +38,19 @@ def _sum(a):
         z = t - s
         c, s = c + ((s - (t - z)) + (x - z)), t
     return s + c
+
+
+def _alpha_groups(alphas):
+    """Indices of pairs with alpha > 0, grouped by equal alpha, descending."""
+    idx = [i for i, a in enumerate(alphas) if a > 0.0]
+    idx.sort(key=lambda i: -alphas[i])
+    groups = []
+    for i in idx:
+        if groups and math.isclose(alphas[groups[-1][0]], alphas[i], rel_tol=1e-9):
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    return groups
 
 
 def _solve_u(x, y, u0, stats):
@@ -88,9 +100,10 @@ def _solve_u(x, y, u0, stats):
 
 
 def _demand(p_pb, x, alpha, lam_w, zh, nu, stats):
-    """``demand_oracle`` bids of every pair at its row's price ``nu``; ``zh``
-    holds each oracle's warm start, updated in place, or is None: every
-    root starts cold."""
+    """Every pair's bid at its row's price ``nu``: zero at or above its cap
+    ``alpha``, ``gamma(nu)`` below it.  ``zh`` holds each pair's warm start
+    z, NaN for a cold one, and takes each live pair's new root in place; or
+    it is None: every root starts cold."""
     live = nu < alpha
     if not live.any():
         return np.zeros(live.shape)
@@ -120,7 +133,7 @@ def ladder_top(deriveds, cfg) -> int:
 
 
 def ladder_rows(params, deriveds, cfg, t0: int, t1: int):
-    """``demand_oracle`` bids of every pair in ladder rounds ``t0 .. t1 - 1``,
+    """Every pair's bid in ladder rounds ``t0 .. t1 - 1``,
     shaped (t1 - t0, n); round t is priced ``cfg.reserve_price + t * cfg.step``.
 
     Every root starts cold, so an entry depends on its pair and round alone:
@@ -171,7 +184,7 @@ def solve_lanes(params, channels, deriveds, budgets, cfg) -> Lanes:
     with np.errstate(all="ignore"):
         tr = np.tile(np.arange(n_t), len(budgets))
         budget = np.repeat(np.asarray(budgets, dtype=float), n_t)
-        # demand at price 0 is the trial's alone; it warms every lane's oracles
+        # demand at price 0 is the trial's alone; it warms every lane's roots
         e_0 = _demand(p_pb, x, alpha, lam_w, np.full((n_t, n), np.nan), np.zeros((n_t, 1)), stats)
         e_lo, e_hi = e_0[tr], np.zeros((tr.size, n))
         hint = 1.0 + x[tr] * e_lo / (p_pb - e_lo)

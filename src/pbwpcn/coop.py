@@ -13,6 +13,9 @@ import logging
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from .batch import _alpha_groups, _demand
 from .errors import ConvergenceError, DomainError
 from .model import LN2, PairChannel, SystemParams, social_welfare
 from .roots import lambert_w0, solve_z
@@ -135,39 +138,31 @@ def respond_to_price(
 
     At nu within ``PRICE_EQ_RTOL`` of the pair's cap the demand set is the
     whole interval [0, e_lim]; the pair reports e_lim so the coordinator
-    learns the interval.  Elsewhere it is ``demand_oracle``'s bid.  A
-    one-shot form: the solvers bid through ``demand_oracle`` and never call it.
+    learns the interval.  Elsewhere it demands nothing at or above its cap
+    and ``gamma(nu)`` below it.  A one-shot form: the solvers bid through
+    ``pooled_bids`` and never call it.
     """
     if d.alpha > 0.0 and abs(nu - d.alpha) <= PRICE_EQ_RTOL * d.alpha:
         return d.e_lim
-    return demand_oracle(params, ch, d)(nu)
+    return 0.0 if nu >= d.alpha else gamma(params, ch, d, nu)
 
 
-def demand_oracle(params: SystemParams, ch: PairChannel, d: PairDerived):
-    """One pair's demand oracle: ``bid(nu) -> energy`` at an announced price.
+def pooled_bids(params: SystemParams, deriveds, stats):
+    """``bids_at(price, r)``: every pair's demand at the announced price.
 
-    At or above its cap the pair demands nothing; below it the demand is
-    ``gamma(nu)``, warm-started from this pair's previous root, so each pair
-    needs its own oracle.  Water-filling, the auction and both protocols all
-    bid through it.
+    One ``batch._demand`` call per price: zero at or above a pair's cap,
+    ``gamma`` below it, each root warm-started from that pair's previous
+    one.  ``stats["newton"]`` keeps the worst Newton iteration count.
     """
-    z_hint = None
+    x, alpha, lam_w = (np.array([getattr(d, f) for d in deriveds])
+                       for f in ("x_const", "alpha", "lam_w"))
+    zh = np.full(len(deriveds), np.nan)  # NaN: no root yet, start cold
 
-    def bid(nu: float) -> float:
-        nonlocal z_hint
-        if nu >= d.alpha:
-            return 0.0
-        e = gamma(params, ch, d, nu, z_hint=z_hint)
-        z_hint = 1.0 + d.x_const * e / (params.p_pb - e)
-        return e
+    def bids_at(price, r):
+        with np.errstate(all="ignore"):
+            return _demand(params.p_pb, x, alpha, lam_w, zh, price, stats).tolist()
 
-    return bid
-
-
-def pooled_bids(params: SystemParams, channels, deriveds):
-    """``bids_at(price, r)``: every pair's demand, one oracle per pair."""
-    bids = [demand_oracle(params, ch, d) for ch, d in zip(channels, deriveds)]
-    return lambda price, r: [bid(price) for bid in bids]
+    return bids_at
 
 
 def final_clinch_prr(e_b_tot: float, bids_last, bids_prev) -> list[float]:
@@ -209,20 +204,7 @@ class WaterfillResult:
     transcript: list = field(default_factory=list)
 
 
-def _alpha_groups(alphas):
-    """Indices of pairs with alpha > 0, grouped by equal alpha, descending."""
-    idx = [i for i, a in enumerate(alphas) if a > 0.0]
-    idx.sort(key=lambda i: -alphas[i])
-    groups = []
-    for i in idx:
-        if groups and math.isclose(alphas[groups[-1][0]], alphas[i], rel_tol=1e-9):
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups
-
-
-def price_search(deriveds, e_b_tot, bids_at, transcript):
+def price_search(deriveds, e_b_tot, bids_at, transcript, stats):
     """Binary search over the sorted caps, then regula falsi; the water-filling loop.
 
     ``bids_at(nu, r)`` gathers every pair's demand at the price ``nu``
@@ -232,7 +214,8 @@ def price_search(deriveds, e_b_tot, bids_at, transcript):
     IEEE TSP 2005), and ``_regula_falsi`` finds it inside that bracket.
     Only the caps, knees and gathered bids drive the decisions, which is
     what makes the distributed variant a drop-in replacement for the pooled
-    one.  Logs why the search stopped at DEBUG.
+    one.  Logs why the search stopped at DEBUG, with ``stats["newton"]``,
+    the bids' worst Newton iteration count as ``pooled_bids`` keeps it.
 
     Returns (nu, e_star list, rounds).
     """
@@ -252,9 +235,9 @@ def price_search(deriveds, e_b_tot, bids_at, transcript):
     def stop(nu, e_star, reason, width=0.0):
         total = math.fsum(e_star)
         log.debug(
-            "price search: rounds=%d stop=%s bracket=%.3g budget_residual=%.3g",
-            rounds, reason, width,
-            abs(total - e_b_tot) / e_b_tot if e_b_tot > 0.0 else total,
+            "price search: rounds=%d stop=%s bracket=%.3g budget_residual=%.3g "
+            "newton_iters=%d", rounds, reason, width,
+            abs(total - e_b_tot) / e_b_tot if e_b_tot > 0.0 else total, stats["newton"],
         )
         return nu, e_star, rounds
 
@@ -341,9 +324,9 @@ def pooled_waterfill(params: SystemParams, channels, deriveds) -> WaterfillResul
     ``waterfill`` and the cooperative protocol run it; ``batch.solve_lanes``
     replays it over arrays.
     """
-    bids_at = pooled_bids(params, channels, deriveds)
-    transcript: list = []
-    nu, e_star, rounds = price_search(deriveds, params.e_b_tot, bids_at, transcript)
+    stats, transcript = {"newton": 0}, []
+    bids_at = pooled_bids(params, deriveds, stats)
+    nu, e_star, rounds = price_search(deriveds, params.e_b_tot, bids_at, transcript, stats)
     tau_star = tuple(
         tau_of_e(params, ch, d, e) for ch, d, e in zip(channels, deriveds, e_star)
     )

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint, minimize
 
-from pbwpcn import PairChannel, SystemParams, derive_pair, load_paper_instance
+from pbwpcn import PairChannel, SystemParams, derive_pair, gamma, load_paper_instance
 
 LN2 = math.log(2.0)
 
@@ -66,6 +66,25 @@ def random_instance(rng, n_pairs, budget_frac=None):
     frac = budget_frac if budget_frac is not None else float(rng.uniform(0.1, 0.9))
     params = dataclasses.replace(params, e_b_tot=frac * e_opt_sum)
     return params, channels, deriveds
+
+
+def demand_oracle(params, ch, d):
+    """One pair's scalar demand oracle: ``bid(nu) -> energy``.
+
+    Zero at or above the pair's cap, ``gamma(nu)`` below it, warm-started
+    from this pair's previous root; the reference for the array bids.
+    """
+    z_hint = None
+
+    def bid(nu):
+        nonlocal z_hint
+        if nu >= d.alpha:
+            return 0.0
+        e = gamma(params, ch, d, nu, z_hint=z_hint)
+        z_hint = 1.0 + d.x_const * e / (params.p_pb - e)
+        return e
+
+    return bid
 
 
 def mp_z_minus_1(x_target, y_coef):

@@ -445,15 +445,19 @@ class TestAuctionAllocation:
         assert math.fsum(e_fin) == pytest.approx(params.e_b_tot, abs=1e-12)
 
     def test_no_price_evaluated_twice(self, paper, monkeypatch):
-        # the search prices each of its levels once through the oracles; the
-        # close reads each ladder round once, through ladder_rows as the walk
-        # does, and never through the oracles
-        original = coop.gamma
+        # the search prices each of its levels once through the pooled bids;
+        # the close reads each ladder round once, through ladder_rows as the
+        # walk does, and never through the pooled bids
         calls = []
 
-        def recording_gamma(params, ch, d, nu, *args, **kwargs):
-            calls.append((d, nu))
-            return original(params, ch, d, nu, *args, **kwargs)
+        def recording_pooled_bids(*args, **kwargs):
+            bids_at = coop.pooled_bids(*args, **kwargs)
+
+            def recording_bids_at(price, r):
+                calls.append(price)
+                return bids_at(price, r)
+
+            return recording_bids_at
 
         original_rows = auction.ladder_rows
         rounds = []
@@ -462,8 +466,7 @@ class TestAuctionAllocation:
             rounds.extend(range(t0, t1))
             return original_rows(params, deriveds, cfg, t0, t1)
 
-        monkeypatch.setattr(coop, "gamma", recording_gamma)
-        monkeypatch.setattr(auction, "gamma", recording_gamma)
+        monkeypatch.setattr(auction, "pooled_bids", recording_pooled_bids)
         monkeypatch.setattr(auction, "ladder_rows", recording_rows)
         rng = np.random.default_rng(22)
         params, channels = paper

@@ -20,9 +20,9 @@ from pbwpcn import (
     waterfill,
 )
 from pbwpcn.batch import ladder_rows, ladder_top, solve_lanes
-from pbwpcn.coop import demand_oracle, derive_pairs
+from pbwpcn.coop import derive_pairs
 from pbwpcn.experiments import _FIG4_BUDGETS, load_paper_instance, table_params
-from conftest import random_instance
+from conftest import demand_oracle, random_instance
 from test_coop import defect_a_instance
 
 RTOL = 1e-12

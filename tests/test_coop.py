@@ -21,7 +21,7 @@ from pbwpcn import (
     waterfill,
 )
 
-from pbwpcn.coop import demand_oracle, derive_pairs
+from pbwpcn.coop import derive_pairs, pooled_bids
 from pbwpcn.experiments import (
     ExperimentConfig,
     draw_channels,
@@ -31,9 +31,11 @@ from pbwpcn.experiments import (
 )
 from pbwpcn.model import social_welfare
 from pbwpcn.protocol import make_views, run_coop_protocol
+from pbwpcn.roots import _MAX_ITER
 
 from conftest import (
     convex_solver_welfare,
+    demand_oracle,
     mp_z_minus_1,
     random_instance,
     weighted_rate_grid,
@@ -264,18 +266,18 @@ class TestGamma:
 
     def test_near_cap_against_mpmath(self):
         # within 1e-3 * alpha of the cap X - Y is ~1e-6 * X; cold, and warm
-        # through the oracle along falling prices as a price search moves
+        # through the pooled bids along falling prices as a price search moves
         params = table_params(n_pairs=2)
         ch = draw_channels(ExperimentConfig(n_pairs=2, seed=0), 693)[1]
         d = derive_pair(params, ch, params.weights[1])
         nus = [d.alpha * (1.0 - 1e-3 * (k + 0.5) / 50) for k in range(50)]
-        bid = demand_oracle(params, ch, d)
-        for nu in nus:
+        bids_at = pooled_bids(params, [d], {"newton": 0})
+        for r, nu in enumerate(nus, 1):
             with mpmath.workdps(40):
                 y = mpmath.mpf(nu) * params.p_pb * mpmath.log(2) / d.lam_w
                 u = mp_z_minus_1(d.x_const, y)
                 expected = params.p_pb * u / (u + d.x_const)
-            for e in (gamma(params, ch, d, nu), bid(nu)):
+            for e in (gamma(params, ch, d, nu), bids_at(nu, r)[0]):
                 assert abs(e - expected) <= 1e-11 * expected, nu
 
     def test_inverts_gradient(self):
@@ -295,6 +297,59 @@ class TestGamma:
             gamma(params, channels[0], d, d.alpha)
         with pytest.raises(DomainError):
             gamma(params, channels[0], d, -0.1)
+
+
+def warm_prices(deriveds, rng, count):
+    """A price search's kind of sequence: each cap, just below and above it,
+    and random prices up to past the largest cap, shuffled."""
+    caps = [d.alpha for d in deriveds if d.alpha > 0.0]
+    prices = [0.0]
+    for cap in rng.choice(caps, size=min(len(caps), 4), replace=False):
+        prices += [cap * (1.0 - 1e-9), cap, cap * (1.0 + 1e-13)]
+    prices += list(rng.uniform(0.0, 1.1 * max(caps), size=count - len(prices)))
+    rng.shuffle(prices)
+    return [float(p) for p in prices]
+
+
+class TestPooledBids:
+    def test_a_pair_has_the_same_bits_alone_and_in_the_pool(self):
+        # each pair's warm start is its own, so the pool changes no bit
+        params = table_params(n_pairs=200)
+        channels = draw_channels(ExperimentConfig(n_pairs=200, seed=5), 0)
+        ds = derive_pairs(params, channels)
+        prices = warm_prices(ds, np.random.default_rng(23), 16)
+        pool = pooled_bids(params, ds, {"newton": 0})
+        alone = [pooled_bids(params, [d], {"newton": 0}) for d in ds]
+        live = 0
+        for r, nu in enumerate(prices, 1):
+            row = pool(nu, r)
+            assert all(isinstance(e, float) for e in row)
+            for e, bids_at in zip(row, alone):
+                [expected] = bids_at(nu, r)
+                assert e.hex() == expected.hex(), (r, nu)
+                live += e > 0.0
+        assert 0 < live < len(prices) * len(ds)
+
+    @pytest.mark.parametrize("n", [3, 50])
+    def test_match_gamma_and_drop_out_at_the_cap(self, n):
+        rng = np.random.default_rng(24 + n)
+        for _ in range(10):
+            params, channels, ds = random_instance(rng, n)
+            bids_at = pooled_bids(params, ds, {"newton": 0})
+            for r, nu in enumerate(warm_prices(ds, rng, 14), 1):
+                for ch, d, e in zip(channels, ds, bids_at(nu, r)):
+                    if nu >= d.alpha:
+                        assert e == 0.0
+                    else:
+                        expected = gamma(params, ch, d, nu)
+                        assert abs(e - expected) <= 1e-12 * expected, (nu, d)
+
+    def test_price_search_logs_the_worst_newton_count(self, caplog, paper):
+        caplog.set_level(logging.DEBUG, logger="pbwpcn")
+        waterfill(*paper)
+        [line] = [r.getMessage() for r in caplog.records if r.name == "pbwpcn"]
+        newton = int(line.rsplit(" newton_iters=", 1)[1])
+        assert 1 <= newton <= _MAX_ITER
 
 
 class TestRespondToPrice:
