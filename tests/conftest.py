@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import json
 import math
 import tracemalloc
 from typing import NamedTuple
@@ -20,6 +21,11 @@ LN2 = math.log(2.0)
 def paper():
     """(params, channels) of the fixed 3-pair instance, budget 1 J."""
     return load_paper_instance(e_b_tot=1.0)
+
+
+def jsonl(records) -> str:
+    """The records as JSON lines, joined without a trailing newline."""
+    return "\n".join(json.dumps(r) for r in records)
 
 
 class RoundBytes(NamedTuple):

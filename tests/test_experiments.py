@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import os
 from statistics import fmean
@@ -218,6 +219,13 @@ class TestCsvOutputs:
         assert scenarios == {"coop", "auction"}
         energy = (tmp_path / "fig4_energy.csv").read_text().splitlines()
         assert len(energy) == 19  # header + 18 budgets, 0 to 3.4 J
+
+    def test_fig3_golden_digest(self, tmp_path):
+        write_instance_csvs(str(tmp_path), AuctionConfig())
+        data = (tmp_path / "fig3_convergence.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == (
+            "0748755a373a15d0355bf9a566277070d94cedade9cc71e0e72803f5b401d647"
+        )
 
     def test_atomic_write_leaves_no_temp(self, tmp_path):
         cfg = ExperimentConfig(

@@ -10,6 +10,7 @@ from pbwpcn import (
     AuctionConfig,
     DomainError,
     ProtocolError,
+    SystemParams,
     auction_allocation,
     derive_pair,
     make_views,
@@ -20,7 +21,7 @@ from pbwpcn import (
 )
 from pbwpcn.protocol import PB_ID, Bus, Message, MessageKind, PBView
 
-from conftest import bytes_per_round, random_instance
+from conftest import bytes_per_round, jsonl, random_instance
 
 
 def ap_to_ap_count(bus):
@@ -403,6 +404,11 @@ def test_transcript_rebuilt_from_outcome_rows(paper):
     for _ in range(10):
         params, channels, _ = random_instance(rng, int(rng.integers(1, 6)))
         cases.append((params, channels, AuctionConfig(step=0.02)))
+    # two clones whose shared cap is the water-filling price: a tie
+    ch = paper[1][2]
+    budget = 2.0 * derive_pair(paper[0], ch, 10.0).e_lim * 0.7
+    clones = SystemParams(0.1, 1e-11, 0.5, 1.0, 2.0, (10.0, 10.0), budget)
+    cases.append((clones, [ch, ch], AuctionConfig()))
     for params, channels, cfg in cases:
         pb, aps = make_views(params, channels)
         result, bus = run_coop_protocol(pb, aps)
@@ -454,3 +460,11 @@ def test_auction_bus_golden_digest(paper, step, digest):
     params, channels = paper
     _, bus = run_auction_protocol(*make_views(params, channels), AuctionConfig(step=step))
     assert hashlib.sha256(bus.transcript_jsonl().encode()).hexdigest() == digest
+
+
+def test_coop_bus_golden_digest(paper):
+    _, bus = run_coop_protocol(*make_views(*paper))
+    text = jsonl(m.to_record() for m in bus.messages())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "e3171b9f9b5e7cd4fbfc32904232ecf483f871df25474bc04c3af2e3996ba3c8"
+    )
