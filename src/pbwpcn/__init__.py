@@ -5,7 +5,7 @@ clinching auction over the same physical model, plus a message-passing
 harness and Monte Carlo experiment sweeps.
 """
 
-from .model import PairChannel, SystemParams, harvested_energy, social_welfare, throughput
+from .model import PairChannel, SystemParams, social_welfare, throughput
 from .roots import lambert_w0, solve_z
 from .coop import (
     PairDerived,

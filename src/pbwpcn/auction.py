@@ -9,7 +9,6 @@ so the budget clears exactly.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from array import array
@@ -23,6 +22,7 @@ from .errors import DomainError
 from .model import PairChannel, SystemParams, throughput
 from .coop import (
     PairDerived,
+    RoundLog,
     derive_pairs,
     final_clinch_prr,
     gamma,
@@ -55,30 +55,22 @@ class AuctionConfig:
             raise DomainError("step must be positive and finite")
 
 
-def _doubles() -> array:
-    return array("d")
-
-
 @dataclass(frozen=True)
-class LadderLog:
-    """Every walked round as packed doubles; round ``t`` is entry ``t``.
+class LadderLog(RoundLog):
+    """Every walked round, from round 0, with its cumulative clinches.
 
-    ``prices`` holds one price per round; ``bids`` and ``clinched`` hold
-    ``n`` entries per round, the bids and the cumulative clinches.  The last
-    round is the close.  A quit walks round 0 only and clinches nothing.
+    ``clinched`` holds ``n`` entries per round.  The last round is the
+    close.  A quit walks round 0 only and clinches nothing.
     """
 
-    n: int = 0
-    prices: array = field(default_factory=_doubles)
-    bids: array = field(default_factory=_doubles)
-    clinched: array = field(default_factory=_doubles)
+    clinched: array = field(default_factory=lambda: array("d"))
     quit: bool = False
 
     def rows(self):
         """The transcript rows, one dict per round, built as they are iterated."""
         n, last = self.n, len(self.prices) - 1
-        for t, mu in enumerate(self.prices):
-            row = {"round": t, "price": mu, "bids": self.bids[t * n:(t + 1) * n].tolist()}
+        for t, mu, bids in self.rounds():
+            row = {"round": t, "price": mu, "bids": bids}
             if self.quit:
                 row["quit"] = True
             else:
@@ -101,11 +93,8 @@ class AuctionOutcome:
 
     @property
     def transcript(self) -> list[dict]:
-        """One row per round, rebuilt from ``log``: a fresh list on each read."""
+        """Rows rebuilt from ``log``, a fresh list on each read; perfbench counts them."""
         return list(self.log.rows())
-
-    def transcript_jsonl(self) -> str:
-        return "\n".join(json.dumps(row) for row in self.log.rows())
 
 
 def best_response(
@@ -218,7 +207,7 @@ def run_auction(params: SystemParams, channels, cfg: AuctionConfig) -> AuctionOu
     t_top = walk_top(deriveds, cfg)
     budget = params.e_b_tot
     n = len(deriveds)
-    prices, bid_log, clinched = _doubles(), _doubles(), _doubles()
+    prices, bid_log, clinched = array("d"), array("d"), array("d")
     start = None  # the first round that clinches anything
     prev_bids = None
     no_clinch = array("d", bytes(8 * n))
@@ -266,7 +255,7 @@ def run_auction(params: SystemParams, channels, cfg: AuctionConfig) -> AuctionOu
         pb_utility=math.fsum(pay),
         rounds_used=len(prices),
         pb_quit=t == 0,
-        log=LadderLog(n, prices, bid_log, clinched, t == 0),
+        log=LadderLog(n, 0, prices, bid_log, clinched, t == 0),
     )
 
 
@@ -312,5 +301,5 @@ def auction_allocation(params: SystemParams, channels, cfg: AuctionConfig):
     t_top = ladder_top(deriveds, cfg)  # a bad ladder fails before any bid
     stats = {"newton": 0}
     bids_at = pooled_bids(params, deriveds, stats)
-    nu, _, _ = price_search(deriveds, params.e_b_tot, bids_at, [], stats)
+    nu, _, _ = price_search(deriveds, params.e_b_tot, bids_at, RoundLog(), stats)
     return ladder_close(params, channels, deriveds, nu, t_top, cfg)

@@ -2,7 +2,8 @@
 
 Subcommands: paper-instance, coop, auction, protocol, sweep.  A JSON config
 file supplies defaults; command-line flags override it.  Exit codes: 0 on
-success, 2 on configuration errors, 1 on numerical failure.
+success, 2 on configuration errors (an output path that cannot be written
+among them), 1 on numerical failure.
 """
 
 from __future__ import annotations

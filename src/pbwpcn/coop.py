@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -194,6 +195,24 @@ def final_clinch_prr(e_b_tot: float, bids_last, bids_prev) -> list[float]:
     ]
 
 
+@dataclass(frozen=True)
+class RoundLog:
+    """Every bid round as packed doubles: one announced price and ``n`` bids
+    per round.  The solve that writes it numbers its rounds from ``first``:
+    the ladder walk from 0, the price search from 1."""
+
+    n: int = 0
+    first: int = 0
+    prices: array = field(default_factory=lambda: array("d"))
+    bids: array = field(default_factory=lambda: array("d"))
+
+    def rounds(self):
+        """(round, price, bids list) of every round, built as they are iterated."""
+        n = self.n
+        for t, price in enumerate(self.prices):
+            yield self.first + t, price, self.bids[t * n:(t + 1) * n].tolist()
+
+
 @dataclass
 class WaterfillResult:
     nu: float
@@ -201,17 +220,18 @@ class WaterfillResult:
     tau_star: tuple[float, ...]
     welfare: float
     rounds: int
-    transcript: list = field(default_factory=list)
+    log: RoundLog = field(default_factory=RoundLog)
 
 
-def price_search(deriveds, e_b_tot, bids_at, transcript, stats):
+def price_search(deriveds, e_b_tot, bids_at, round_log, stats):
     """Binary search over the sorted caps, then regula falsi; the water-filling loop.
 
     ``bids_at(nu, r)`` gathers every pair's demand at the price ``nu``
-    announced in round ``r``.  Aggregate demand is nonincreasing in the
-    price, so a binary search over the caps brackets the dual price between
-    two adjacent caps (sorted-breakpoint water-filling, Palomar & Fonollosa,
-    IEEE TSP 2005), and ``_regula_falsi`` finds it inside that bracket.
+    announced in round ``r``, and ``round_log`` keeps each price and its bids.
+    Aggregate demand is nonincreasing in the price, so a binary search over
+    the caps brackets the dual price between two adjacent caps
+    (sorted-breakpoint water-filling, Palomar & Fonollosa, IEEE TSP 2005),
+    and ``_regula_falsi`` finds it inside that bracket.
     Only the caps, knees and gathered bids drive the decisions, which is
     what makes the distributed variant a drop-in replacement for the pooled
     one.  Logs why the search stopped at DEBUG, with ``stats["newton"]``,
@@ -227,9 +247,8 @@ def price_search(deriveds, e_b_tot, bids_at, transcript, stats):
         nonlocal rounds
         rounds += 1
         bids = bids_at(nu, rounds)
-        transcript.append(
-            {"round": rounds, "nu": nu, "bids": list(bids), "agg": math.fsum(bids)}
-        )
+        round_log.prices.append(nu)
+        round_log.bids.extend(bids)
         return bids
 
     def stop(nu, e_star, reason, width=0.0):
@@ -263,8 +282,6 @@ def price_search(deriveds, e_b_tot, bids_at, transcript, stats):
         # price settles exactly at this cap; split the residual budget
         # across the tied pairs in proportion to their knees
         e_star = list(bids)
-        if len(group) > 1:
-            transcript.append({"tie": sorted(group), "nu": prices[hi]})
         for i in group:
             e_star[i] = residual * deriveds[i].e_lim / lim_sum
         return stop(prices[hi], e_star, "cap")
@@ -324,14 +341,15 @@ def pooled_waterfill(params: SystemParams, channels, deriveds) -> WaterfillResul
     ``waterfill`` and the cooperative protocol run it; ``batch.solve_lanes``
     replays it over arrays.
     """
-    stats, transcript = {"newton": 0}, []
+    # round 0 of the cooperative protocol is the cap and knee reports
+    stats, round_log = {"newton": 0}, RoundLog(len(deriveds), 1)
     bids_at = pooled_bids(params, deriveds, stats)
-    nu, e_star, rounds = price_search(deriveds, params.e_b_tot, bids_at, transcript, stats)
+    nu, e_star, rounds = price_search(deriveds, params.e_b_tot, bids_at, round_log, stats)
     tau_star = tuple(
         tau_of_e(params, ch, d, e) for ch, d, e in zip(channels, deriveds, e_star)
     )
     welfare = social_welfare(params, channels, tau_star, e_star)
-    return WaterfillResult(nu, tuple(e_star), tau_star, welfare, rounds, transcript)
+    return WaterfillResult(nu, tuple(e_star), tau_star, welfare, rounds, round_log)
 
 
 def waterfill(params: SystemParams, channels) -> WaterfillResult:

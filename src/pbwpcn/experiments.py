@@ -159,8 +159,11 @@ def _atomic_write(path: str, chunks) -> None:
     # stream the text chunks to a sibling temp file and rename, so failures
     # leave no partial file
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    except OSError as exc:  # a file in the directory's place, say
+        raise DomainError(f"cannot write {path}: {exc.filename}: {exc.strerror}") from exc
     try:
         with os.fdopen(fd, "w") as fh:
             fh.writelines(chunks)
@@ -220,13 +223,9 @@ def write_instance_csvs(outdir: str, auc_cfg: AuctionConfig = AuctionConfig()) -
     auction = run_auction(params, channels, auc_cfg)
     n = params.n_pairs
     rows3 = [["scenario", "round", "price"] + [f"bid_{i+1}" for i in range(n)] + ["aggregate"]]
-    for row in coop.transcript:
-        if "round" not in row:
-            continue
-        rows3.append(["coop", row["round"], row["nu"]] + list(row["bids"]) + [row["agg"]])
-    for row in auction.log.rows():
-        bids = row["bids"]
-        rows3.append(["auction", row["round"], row["price"]] + bids + [math.fsum(bids)])
+    for scenario, log in (("coop", coop.log), ("auction", auction.log)):
+        for r, price, bids in log.rounds():
+            rows3.append([scenario, r, price] + bids + [math.fsum(bids)])
 
     rows4e = [["e_b_tot"] + [f"e_coop_{i+1}" for i in range(n)] + [f"e_auction_{i+1}" for i in range(n)]]
     rows4t = [["e_b_tot"] + [f"tau_coop_{i+1}" for i in range(n)] + [f"tau_auction_{i+1}" for i in range(n)]]

@@ -76,15 +76,6 @@ class PairChannel:
             raise DomainError("k_pow must be nonnegative and finite")
 
 
-def harvested_energy(
-    params: SystemParams, ch: PairChannel, tau: float, tau_prime: float
-) -> float:
-    """Energy collected by one source during the downlink charging phase."""
-    if not (0.0 <= tau < 1.0 and 0.0 <= tau_prime < 1.0):
-        raise DomainError("tau and tau_prime must lie in [0, 1)")
-    return params.eta * (tau * params.p_ap * ch.g_pow + tau_prime * params.p_pb * ch.k_pow)
-
-
 def throughput(params: SystemParams, ch: PairChannel, tau: float, e_pb: float) -> float:
     """Achievable uplink rate in Mbps for one pair.
 

@@ -11,13 +11,11 @@ available information.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from typing import NamedTuple
 
-from .auction import AuctionConfig, AuctionOutcome, LadderLog, run_auction
+from .auction import AuctionConfig, AuctionOutcome, run_auction
 from .coop import WaterfillResult, derive_pairs, pooled_waterfill
 from .errors import DomainError, ProtocolError
 from .model import PairChannel, SystemParams
@@ -70,10 +68,10 @@ class Bus:
             )
         self._log.append(msg)
 
-    def relay(self, agent_ids, rounds) -> None:
-        """Log the bid rounds a solve ran: ``rounds()`` yields (round, price,
-        bids), the price announced to each of ``agent_ids`` and their bids."""
-        self._log.append((tuple(agent_ids), rounds))
+    def relay(self, agent_ids, log) -> None:
+        """Log the bid rounds a solve ran: ``log.rounds()`` yields (round,
+        price, bids), the price announced to each of ``agent_ids`` and their bids."""
+        self._log.append((tuple(agent_ids), log))
 
     def messages(self):
         """Every message in send order, built as it is iterated: a bid round
@@ -83,19 +81,16 @@ class Bus:
             if type(entry) is Message:
                 yield entry
                 continue
-            agent_ids, rounds = entry
-            for r, price, bids in rounds():
+            agent_ids, log = entry
+            for r, price, bids in log.rounds():
                 for aid, bid in zip(agent_ids, bids):
                     yield Message(announce, PB_ID, aid, price, r)
                     yield Message(bid_kind, aid, PB_ID, bid, r)
 
     @property
     def transcript(self) -> list[Message]:
-        """``messages`` as a list, a fresh one on each read."""
+        """``messages`` as a list, a fresh one on each read; perfbench counts it."""
         return list(self.messages())
-
-    def transcript_jsonl(self) -> str:
-        return "\n".join(json.dumps(m.to_record()) for m in self.messages())
 
 
 @dataclass
@@ -162,13 +157,6 @@ def _shared_params(pb_view: PBView, ap_views) -> SystemParams:
     return params
 
 
-def _ladder_rounds(log: LadderLog):
-    """(round, price, bids) of every round the ladder walk logged."""
-    n = log.n
-    for t, mu in enumerate(log.prices):
-        yield t, mu, log.bids[t * n:(t + 1) * n]
-
-
 def run_coop_protocol(
     pb_view: PBView, ap_views: list[APView]
 ) -> tuple[WaterfillResult, Bus]:
@@ -186,12 +174,7 @@ def run_coop_protocol(
         bus.send(Message(MessageKind.ELIM_REPORT, aid, PB_ID, d.e_lim, 0))
 
     result = pooled_waterfill(params, channels, deriveds)
-    # a snapshot of the search's rounds: the caller may edit result.transcript
-    rounds = tuple(
-        (row["round"], row["nu"], tuple(row["bids"]))
-        for row in result.transcript if "round" in row
-    )
-    bus.relay(agent_ids, rounds.__iter__)
+    bus.relay(agent_ids, result.log)
 
     for aid, e in zip(agent_ids, result.e_star):
         bus.send(Message(MessageKind.FINAL_ALLOCATION, PB_ID, aid, e, result.rounds + 1))
@@ -207,7 +190,7 @@ def run_auction_protocol(
     outcome = run_auction(params, [v.channel for v in ap_views], cfg)
     agent_ids = [v.agent_id for v in ap_views]
     bus = Bus()
-    bus.relay(agent_ids, partial(_ladder_rounds, outcome.log))
+    bus.relay(agent_ids, outcome.log)
 
     # one closing message per AP: a quit carries the reserve price, a trade
     # the AP's final allocation

@@ -24,7 +24,7 @@ from pbwpcn import auction, coop
 from pbwpcn.auction import MAX_LADDER_ROUNDS
 from pbwpcn.batch import ladder_rows
 
-from conftest import bytes_per_round, random_instance
+from conftest import bytes_per_round, jsonl, random_instance
 
 
 class TestBestResponse:
@@ -272,8 +272,7 @@ class TestRunAuction:
         mus = [row["price"] for row in outcome.transcript]
         rows = [row["clinch_cum"] for row in outcome.transcript]
         assert payment(mus, rows) == pytest.approx(list(outcome.payment), abs=1e-15)
-        text = outcome.transcript_jsonl()
-        parsed = [json.loads(line) for line in text.splitlines()]
+        parsed = [json.loads(line) for line in jsonl(outcome.log.rows()).splitlines()]
         assert parsed == outcome.transcript
 
     def test_monotone_bids_and_clinches(self, paper):
@@ -346,7 +345,7 @@ class TestRunAuction:
             first[-1]["price"] = -1.0
             first.append({})
             assert outcome.transcript == second
-            assert outcome.transcript_jsonl() == "\n".join(map(json.dumps, second))
+            assert jsonl(outcome.log.rows()) == "\n".join(map(json.dumps, second))
 
     def test_equality_compares_the_log(self, paper):
         params, channels = paper
@@ -369,7 +368,7 @@ class TestRunAuction:
     def test_transcript_golden_digest(self, paper, step, digest):
         params, channels = paper
         outcome = run_auction(params, channels, AuctionConfig(step=step))
-        assert hashlib.sha256(outcome.transcript_jsonl().encode()).hexdigest() == digest
+        assert hashlib.sha256(jsonl(outcome.log.rows()).encode()).hexdigest() == digest
 
     def test_memory_per_round(self, paper):
         # packed doubles: one price, 3 bids and 3 clinches, about 57 bytes a round

@@ -12,6 +12,8 @@ from pbwpcn import AuctionConfig, make_views, run_auction, run_auction_protocol,
 from pbwpcn.cli import main
 from pbwpcn.experiments import load_paper_instance
 
+from conftest import jsonl
+
 
 class TestPaperInstance:
     def test_check_passes(self, capsys):
@@ -75,7 +77,7 @@ class TestStreamedTranscripts:
             _, bus = run_coop_protocol(*make_views(params, channels))
         else:
             _, bus = run_auction_protocol(*make_views(params, channels), AuctionConfig())
-        expected = bus.transcript_jsonl() + "\n"
+        expected = jsonl(m.to_record() for m in bus.messages()) + "\n"
         assert main(["protocol", "--which", which]) == 0
         assert capsys.readouterr().out.endswith(expected)
         assert main(["protocol", "--which", which, "--out", str(tmp_path)]) == 0
@@ -325,3 +327,24 @@ class TestConfigErrors:
         rc = main(["--config", str(cfg), "sweep", "--out", str(out)])
         assert rc == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, under",
+        [
+            (["auction"], "x"),
+            (["protocol", "--which", "auction"], "x"),
+            (["sweep", "--trials", "2"], ""),
+        ],
+        ids=["auction", "protocol", "sweep"],
+    )
+    def test_unwritable_output_path(self, capsys, tmp_path, argv, under):
+        # a file where the output directory should be: a configuration error
+        # on one stderr line that names the path, not a traceback
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = os.path.join(blocker, under)
+        assert main(argv + ["--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("config error: cannot write ") and out in err[0]
+        assert blocker.read_text() == ""

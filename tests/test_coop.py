@@ -474,8 +474,7 @@ class TestWaterfill:
         # at most one announcement per distinct cap, plus one bounded bisection
         assert res.rounds <= 3 + 200
         assert res.rounds >= 2
-        announce_rounds = [r for r in res.transcript if "round" in r]
-        assert len(announce_rounds) == res.rounds
+        assert [r for r, _, _ in res.log.rounds()] == list(range(1, res.rounds + 1))
 
     def test_rounds_logarithmic_in_caps(self):
         # a binary search over 200 sorted caps, then a bounded bisection;

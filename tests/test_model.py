@@ -8,7 +8,6 @@ from pbwpcn import (
     DomainError,
     PairChannel,
     SystemParams,
-    harvested_energy,
     social_welfare,
     throughput,
 )
@@ -73,48 +72,6 @@ class TestValidation:
         social_welfare(params, ch, (0.5, 0.5), (0.25, 0.25 * (1.0 + 1e-9)))
         with pytest.raises(DomainError, match="exceeds budget"):
             social_welfare(params, ch, (0.5, 0.5), (0.25, 0.25 * (1.0 + 4e-9)))
-
-
-class TestHarvestedEnergy:
-    def test_no_charging(self):
-        params = make_params()
-        assert harvested_energy(params, PairChannel(1e-5, 1e-4), 0.0, 0.0) == 0.0
-
-    def test_linear_in_tau_without_beacon(self):
-        params = make_params()
-        ch = PairChannel(1e-5, 1e-4)
-        e1 = harvested_energy(params, ch, 0.2, 0.0)
-        e2 = harvested_energy(params, ch, 0.4, 0.0)
-        assert e1 == pytest.approx(params.eta * 0.2 * params.p_ap * ch.g_pow)
-        assert e2 == pytest.approx(2.0 * e1)
-
-    def test_paper_pair_term_by_term(self):
-        # exact rational evaluation of the two charging terms
-        params = make_params()
-        ch = PairChannel(0.8628e-5, 0.4379e-4)
-        got = harvested_energy(params, ch, 0.5, 0.25)
-        g = Fraction(8628, 10**9)
-        k = Fraction(4379, 10**8)
-        expected = Fraction(1, 2) * (
-            Fraction(1, 2) * 1 * g + Fraction(1, 4) * 2 * k
-        )
-        assert got == pytest.approx(float(expected), rel=1e-14)
-
-    def test_bilinear(self):
-        params = make_params()
-        ch = PairChannel(3e-6, 8e-5)
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            t1, t2, tp = rng.uniform(0.05, 0.9, size=3)
-            a = harvested_energy(params, ch, t1, tp)
-            b = harvested_energy(params, ch, t2, tp)
-            mid = harvested_energy(params, ch, 0.5 * (t1 + t2), tp)
-            assert mid == pytest.approx(0.5 * (a + b), rel=1e-12)
-
-    def test_domain(self):
-        params = make_params()
-        with pytest.raises(DomainError):
-            harvested_energy(params, PairChannel(1e-5, 1e-4), 1.0, 0.0)
 
 
 class TestThroughput:

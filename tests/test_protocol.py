@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from pbwpcn import (
     run_coop_protocol,
     waterfill,
 )
+from pbwpcn.coop import RoundLog
 from pbwpcn.protocol import PB_ID, Bus, Message, MessageKind, PBView
 
 from conftest import bytes_per_round, jsonl, random_instance
@@ -48,7 +50,7 @@ class TestBus:
     def test_jsonl_round_trip(self):
         bus = Bus()
         bus.send(Message(MessageKind.ALPHA_REPORT, 2, PB_ID, 1.25, 0))
-        rec = json.loads(bus.transcript_jsonl())
+        rec = json.loads(jsonl(m.to_record() for m in bus.messages()))
         assert rec == {
             "kind": "AlphaReport",
             "sender": 2,
@@ -90,15 +92,18 @@ class TestBus:
         for msg, line in golden:
             assert json.dumps(msg.to_record()) == line
             bus.send(msg)
-        assert bus.transcript_jsonl() == "\n".join(line for _, line in golden)
+        assert jsonl(m.to_record() for m in bus.messages()) == "\n".join(
+            line for _, line in golden
+        )
 
     def test_relayed_rounds_expand_in_log_order(self):
         # a relayed run of bid rounds keeps its place among sent messages and
         # is expanded on each read
         bus = Bus()
-        bus.relay((1, 2), ((1, 0.5, (0.25, 0.0)), (2, 0.75, (0.125, 0.0))).__iter__)
+        bus.relay((1, 2), RoundLog(2, 1, array("d", [0.5, 0.75]),
+                                   array("d", [0.25, 0.0, 0.125, 0.0])))
         bus.send(Message(MessageKind.ALPHA_REPORT, 3, PB_ID, 1.5, 0))
-        bus.relay([3], [(4, 1.25, [0.1])].__iter__)
+        bus.relay([3], RoundLog(1, 4, array("d", [1.25]), array("d", [0.1])))
         A, B = MessageKind.PRICE_ANNOUNCE, MessageKind.BID
         expected = [
             Message(A, PB_ID, 1, 0.5, 1), Message(B, 1, PB_ID, 0.25, 1),
@@ -176,12 +181,13 @@ class TestCoopProtocol:
             assert dist.rounds == pooled.rounds
 
     def test_bus_keeps_its_own_rounds(self, paper):
-        # the bus relays a snapshot of the search's rounds, not the result's list
+        # the bus relays the result's own log; each read of its rounds builds
+        # fresh bid lists, so editing one read leaves the bus as it was
         result, bus = run_coop_protocol(*make_views(*paper))
         before = bus.transcript
-        result.transcript[0]["bids"][0] = -1.0
-        result.transcript[0]["nu"] = -1.0
-        result.transcript.clear()
+        for _, _, bids in result.log.rounds():
+            bids[0] = -1.0
+            bids.clear()
         assert bus.transcript == before
 
     def test_transcript_deterministic(self, paper):
@@ -190,7 +196,9 @@ class TestCoopProtocol:
         _, bus1 = run_coop_protocol(pb, aps)
         pb, aps = make_views(params, channels)
         _, bus2 = run_coop_protocol(pb, aps)
-        assert bus1.transcript_jsonl() == bus2.transcript_jsonl()
+        assert jsonl(m.to_record() for m in bus1.messages()) == jsonl(
+            m.to_record() for m in bus2.messages()
+        )
 
 
 class TestAuctionProtocol:
@@ -358,14 +366,13 @@ class TestProtocolInputs:
         assert got == expected
 
 
-def _bid_rounds(aps, rows, price_key):
-    """One announce/bid pair per AP for each bid row, in AP order."""
+def _bid_rounds(aps, rounds):
+    """One announce/bid pair per AP for each (round, price, bids), in AP order."""
     out = []
-    for row in rows:
-        r = row["round"]
-        for i, ap in enumerate(aps):
-            out.append(Message(MessageKind.PRICE_ANNOUNCE, PB_ID, ap.agent_id, row[price_key], r))
-            out.append(Message(MessageKind.BID, ap.agent_id, PB_ID, row["bids"][i], r))
+    for r, price, bids in rounds:
+        for ap, bid in zip(aps, bids):
+            out.append(Message(MessageKind.PRICE_ANNOUNCE, PB_ID, ap.agent_id, price, r))
+            out.append(Message(MessageKind.BID, ap.agent_id, PB_ID, bid, r))
     return out
 
 
@@ -376,7 +383,7 @@ def expected_coop_transcript(aps, result):
         d = derive_pair(ap.params, ap.channel, ap.weight)
         out.append(Message(MessageKind.ALPHA_REPORT, ap.agent_id, PB_ID, d.alpha, 0))
         out.append(Message(MessageKind.ELIM_REPORT, ap.agent_id, PB_ID, d.e_lim, 0))
-    out += _bid_rounds(aps, [row for row in result.transcript if "round" in row], "nu")
+    out += _bid_rounds(aps, result.log.rounds())
     out += [
         Message(MessageKind.FINAL_ALLOCATION, PB_ID, ap.agent_id, e, result.rounds + 1)
         for ap, e in zip(aps, result.e_star)
@@ -386,7 +393,7 @@ def expected_coop_transcript(aps, result):
 
 def expected_auction_transcript(aps, outcome, cfg):
     """The ladder's bid rounds, then N closing messages."""
-    out = _bid_rounds(aps, outcome.transcript, "price")
+    out = _bid_rounds(aps, outcome.log.rounds())
     kind = MessageKind.QUIT if outcome.pb_quit else MessageKind.FINAL_ALLOCATION
     for ap, e in zip(aps, outcome.e_final):
         payload = cfg.reserve_price if outcome.pb_quit else e
@@ -459,7 +466,8 @@ def test_protocol_memory_per_round(paper):
 def test_auction_bus_golden_digest(paper, step, digest):
     params, channels = paper
     _, bus = run_auction_protocol(*make_views(params, channels), AuctionConfig(step=step))
-    assert hashlib.sha256(bus.transcript_jsonl().encode()).hexdigest() == digest
+    text = jsonl(m.to_record() for m in bus.messages())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_coop_bus_golden_digest(paper):
