@@ -226,8 +226,8 @@ class WaterfillResult:
 def price_search(deriveds, e_b_tot, bids_at, round_log, stats):
     """Binary search over the sorted caps, then regula falsi; the water-filling loop.
 
-    ``bids_at(nu, r)`` gathers every pair's demand at the price ``nu``
-    announced in round ``r``, and ``round_log`` keeps each price and its bids.
+    ``bids_at(nu, r)`` gathers every pair's demand, as a list, at the price
+    ``nu`` announced in round ``r``; ``round_log`` keeps each price and its bids.
     Aggregate demand is nonincreasing in the price, so a binary search over
     the caps brackets the dual price between two adjacent caps
     (sorted-breakpoint water-filling, Palomar & Fonollosa, IEEE TSP 2005),
@@ -248,7 +248,7 @@ def price_search(deriveds, e_b_tot, bids_at, round_log, stats):
         rounds += 1
         bids = bids_at(nu, rounds)
         round_log.prices.append(nu)
-        round_log.bids.extend(bids)
+        round_log.bids.fromlist(bids)  # from a list: far faster than extend
         return bids
 
     def stop(nu, e_star, reason, width=0.0):
