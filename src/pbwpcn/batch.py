@@ -1,8 +1,9 @@
 """Array demands: every pair's bid at a price, and water-filling and its
 ladder close for a batch of (trial, budget) lanes.
 
-``_demand`` is the one demand: ``coop.pooled_bids`` calls it once per price
-and ``ladder_rows`` once per block of ladder rounds.  ``solve_lanes`` takes
+``_demand`` is the one demand, every root started cold: a bid depends on its
+pair and price alone.  ``coop.pooled_bids`` calls it once per price and
+``ladder_rows`` once per block of ladder rounds.  ``solve_lanes`` takes
 the decisions of ``price_search`` and ``ladder_close`` on every lane at once,
 over float64 arrays indexed by (lane, pair); each scalar check is an array
 check raising the same error type.
@@ -53,16 +54,15 @@ def _alpha_groups(alphas):
     return groups
 
 
-def _solve_u(x, y, u0, stats):
-    """``solve_z(x, y, 1 + u0) - 1.0`` elementwise, by the same safeguarded
-    Newton; a ``u0`` outside the bracket, or NaN, starts cold.  Each step
-    works in place, so a block of ladder rounds holds few temporaries."""
+def _solve_u(x, y, stats):
+    """``solve_z(x, y) - 1.0`` elementwise, by the same safeguarded Newton
+    from the same cold start.  Each step works in place, so a block of
+    ladder rounds holds few temporaries."""
     if not np.all((y >= 0.0) & (x > y)):
         raise DomainError("solve_z needs x_target > y_coef >= 0")
     d = x - y
     lo, hi, tol = np.zeros_like(d), x + 1.0, _ABS_TOL * d
-    u = np.where((lo < u0) & (u0 < hi), u0,
-                 np.where(d < 1.0, np.sqrt(2.0 * d), d / np.log1p(d)))
+    u = np.where(d < 1.0, np.sqrt(2.0 * d), d / np.log1p(d))
     out, todo = np.empty_like(d), np.ones(d.shape, dtype=bool)
     for it in range(1, _MAX_ITER + 1):
         slope = np.log1p(u)
@@ -99,21 +99,16 @@ def _solve_u(x, y, u0, stats):
     raise ConvergenceError(f"solve_z did not converge on {todo.sum()} demands")
 
 
-def _demand(p_pb, x, alpha, lam_w, zh, nu, stats):
+def _demand(p_pb, x, alpha, lam_w, nu, stats):
     """Every pair's bid at its row's price ``nu``: zero at or above its cap
-    ``alpha``, ``gamma(nu)`` below it.  ``zh`` holds each pair's warm start
-    z, NaN for a cold one, and takes each live pair's new root in place; or
-    it is None: every root starts cold."""
+    ``alpha``, ``gamma(nu)`` below it."""
     live = nu < alpha
     if not live.any():
         return np.zeros(live.shape)
     xs = np.broadcast_to(x, live.shape)[live]
-    u0 = np.nan if zh is None else zh[live] - 1.0
-    zm1 = _solve_u(xs, (nu * p_pb * LN2 / lam_w)[live], u0, stats)
+    zm1 = _solve_u(xs, (nu * p_pb * LN2 / lam_w)[live], stats)
     e = np.zeros(live.shape)
-    e[live] = es = p_pb * zm1 / (zm1 + xs)
-    if zh is not None:
-        zh[live] = 1.0 + xs * es / (p_pb - es)
+    e[live] = p_pb * zm1 / (zm1 + xs)
     return e
 
 
@@ -136,14 +131,14 @@ def ladder_rows(params, deriveds, cfg, t0: int, t1: int):
     """Every pair's bid in ladder rounds ``t0 .. t1 - 1``,
     shaped (t1 - t0, n); round t is priced ``cfg.reserve_price + t * cfg.step``.
 
-    Every root starts cold, so an entry depends on its pair and round alone:
-    a row has the same bits whichever block it is read in.
+    An entry depends on its pair and round alone: a row has the same bits
+    whichever block it is read in.
     """
     x, alpha, lam_w = (np.array([getattr(d, f) for d in deriveds])
                        for f in ("x_const", "alpha", "lam_w"))
     mu = cfg.reserve_price + np.arange(t0, t1)[:, None] * cfg.step
     with np.errstate(all="ignore"):
-        return _demand(params.p_pb, x, alpha, lam_w, None, mu, {"newton": 0})
+        return _demand(params.p_pb, x, alpha, lam_w, mu, {"newton": 0})
 
 
 def _prr(budget, last, prev):
@@ -184,16 +179,13 @@ def solve_lanes(params, channels, deriveds, budgets, cfg) -> Lanes:
     with np.errstate(all="ignore"):
         tr = np.tile(np.arange(n_t), len(budgets))
         budget = np.repeat(np.asarray(budgets, dtype=float), n_t)
-        # demand at price 0 is the trial's alone; it warms every lane's roots
-        e_0 = _demand(p_pb, x, alpha, lam_w, np.full((n_t, n), np.nan), np.zeros((n_t, 1)), stats)
+        # demand at price 0 is the trial's alone: solved once, shared by its budgets
+        e_0 = _demand(p_pb, x, alpha, lam_w, np.zeros((n_t, 1)), stats)
         e_lo, e_hi = e_0[tr], np.zeros((tr.size, n))
-        hint = 1.0 + x[tr] * e_lo / (p_pb - e_lo)
 
         def bids(i, nu):
-            zh, ti = hint[i], tr[i]
-            e = _demand(p_pb, x[ti], alpha[ti], lam_w[ti], zh, nu[:, None], stats)
-            hint[i] = zh
-            return e
+            ti = tr[i]
+            return _demand(p_pb, x[ti], alpha[ti], lam_w[ti], nu[:, None], stats)
         # binary search for the first level whose demand the budget covers
         lo, hi = np.zeros(tr.size, dtype=int), (np.isfinite(prices).sum(axis=1) - 1)[tr]
         slack = _sum(e_lo) <= budget

@@ -57,11 +57,11 @@ class ConfigError(Exception):
 def load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
     try:
         with open(path) as fh:
             data = json.load(fh)
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
     if not isinstance(data, dict):

@@ -114,13 +114,7 @@ def grad_s(params: SystemParams, ch: PairChannel, d: PairDerived, e_pb: float) -
     )
 
 
-def gamma(
-    params: SystemParams,
-    ch: PairChannel,
-    d: PairDerived,
-    nu: float,
-    z_hint: float | None = None,
-) -> float:
+def gamma(params: SystemParams, ch: PairChannel, d: PairDerived, nu: float) -> float:
     """Energy demand at price nu on the strictly concave segment.
 
     Inverts grad_s on (e_lim, e_opt]; defined for 0 <= nu < alpha.
@@ -128,7 +122,7 @@ def gamma(
     if not 0.0 <= nu < d.alpha:
         raise DomainError(f"gamma needs 0 <= nu < alpha={d.alpha}, got {nu}")
     y = nu * params.p_pb * LN2 / d.lam_w
-    z = solve_z(d.x_const, y, z_hint=z_hint)
+    z = solve_z(d.x_const, y)
     return params.p_pb * (z - 1.0) / (z - 1.0 + d.x_const)
 
 
@@ -149,19 +143,18 @@ def respond_to_price(
 
 
 def pooled_bids(params: SystemParams, deriveds, stats):
-    """``bids_at(price, r)``: every pair's demand at the announced price.
+    """``bids_at(price)``: every pair's demand at the announced price.
 
     One ``batch._demand`` call per price: zero at or above a pair's cap,
-    ``gamma`` below it, each root warm-started from that pair's previous
-    one.  ``stats["newton"]`` keeps the worst Newton iteration count.
+    ``gamma`` below it from a cold root, so a bid depends on its pair and
+    the price alone.  ``stats["newton"]`` keeps the worst Newton count.
     """
     x, alpha, lam_w = (np.array([getattr(d, f) for d in deriveds])
                        for f in ("x_const", "alpha", "lam_w"))
-    zh = np.full(len(deriveds), np.nan)  # NaN: no root yet, start cold
 
-    def bids_at(price, r):
+    def bids_at(price):
         with np.errstate(all="ignore"):
-            return _demand(params.p_pb, x, alpha, lam_w, zh, price, stats).tolist()
+            return _demand(params.p_pb, x, alpha, lam_w, price, stats).tolist()
 
     return bids_at
 
@@ -226,8 +219,8 @@ class WaterfillResult:
 def price_search(deriveds, e_b_tot, bids_at, round_log, stats):
     """Binary search over the sorted caps, then regula falsi; the water-filling loop.
 
-    ``bids_at(nu, r)`` gathers every pair's demand, as a list, at the price
-    ``nu`` announced in round ``r``; ``round_log`` keeps each price and its bids.
+    ``bids_at(nu)`` gathers every pair's demand, as a list, at the announced
+    price ``nu``; ``round_log`` keeps each price and its bids.
     Aggregate demand is nonincreasing in the price, so a binary search over
     the caps brackets the dual price between two adjacent caps
     (sorted-breakpoint water-filling, Palomar & Fonollosa, IEEE TSP 2005),
@@ -246,7 +239,7 @@ def price_search(deriveds, e_b_tot, bids_at, round_log, stats):
     def announce(nu):
         nonlocal rounds
         rounds += 1
-        bids = bids_at(nu, rounds)
+        bids = bids_at(nu)
         round_log.prices.append(nu)
         round_log.bids.fromlist(bids)  # from a list: far faster than extend
         return bids

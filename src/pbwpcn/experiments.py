@@ -168,9 +168,11 @@ def _atomic_write(path: str, chunks) -> None:
         with os.fdopen(fd, "w") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, IsADirectoryError):  # a full disk, say, stays an OSError
+            raise DomainError(f"cannot write {path}: {exc.strerror}") from exc
         raise
 
 

@@ -35,11 +35,7 @@ def lambert_w0(x: float) -> float:
     return math.log(solve_z(a, 0.0)) - 1.0
 
 
-def solve_z(
-    x_target: float,
-    y_coef: float,
-    z_hint: float | None = None,
-) -> float:
+def solve_z(x_target: float, y_coef: float) -> float:
     """Unique root z > 1 of  z*ln(z) + (y_coef - 1)*z + 1 = x_target.
 
     The left side is increasing for z > 1 with value y_coef at z = 1, so a
@@ -47,8 +43,8 @@ def solve_z(
     h(u) + Y*u = X - Y with h(u) = (1 + u)*log1p(u) - u convex, so near the
     branch point u keeps the digits that z - 1 would cancel (Corless et al.,
     "On the Lambert W function", 1996, section 4).  Newton with slope
-    log1p(u) + Y runs inside a bracket, so ``z_hint``, a warm start from a
-    nearby solve, may lie on either side of the root.
+    log1p(u) + Y runs inside a bracket from a cold start fixed by X - Y
+    alone, so the root depends on (X, Y) and nothing else.
     """
     if y_coef < 0.0:
         raise DomainError(f"y_coef must be nonnegative, got {y_coef}")
@@ -57,10 +53,7 @@ def solve_z(
 
     d = x_target - y_coef
     lo, hi = 0.0, x_target + 1.0
-    if z_hint is not None and lo < z_hint - 1.0 < hi:
-        u = z_hint - 1.0
-    else:
-        u = math.sqrt(2.0 * d) if d < 1.0 else d / math.log1p(d)
+    u = math.sqrt(2.0 * d) if d < 1.0 else d / math.log1p(d)
 
     tol = _ABS_TOL * d
     for _ in range(_MAX_ITER):

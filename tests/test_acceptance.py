@@ -27,7 +27,7 @@ from pbwpcn import (
 )
 from pbwpcn.protocol import PB_ID, make_views, run_auction_protocol, run_coop_protocol
 
-from conftest import (
+from oracles import (
     convex_solver_welfare,
     grid_best_welfare,
     random_instance,

@@ -24,7 +24,7 @@ from pbwpcn import auction, coop
 from pbwpcn.auction import MAX_LADDER_ROUNDS
 from pbwpcn.batch import ladder_rows
 
-from conftest import bytes_per_round, jsonl, random_instance
+from oracles import bytes_per_round, jsonl, random_instance
 
 
 class TestBestResponse:
@@ -53,7 +53,7 @@ class TestBestResponse:
     def test_against_grid_oracle(self):
         # quasilinear utility w*R(tau, e) - mu*e over a dense (tau, e) grid
         rng = np.random.default_rng(20)
-        from conftest import LN2
+        from oracles import LN2
 
         for _ in range(10):
             params, channels, ds = random_instance(rng, 1)
@@ -452,9 +452,9 @@ class TestAuctionAllocation:
         def recording_pooled_bids(*args, **kwargs):
             bids_at = coop.pooled_bids(*args, **kwargs)
 
-            def recording_bids_at(price, r):
+            def recording_bids_at(price):
                 calls.append(price)
-                return bids_at(price, r)
+                return bids_at(price)
 
             return recording_bids_at
 

@@ -22,7 +22,7 @@ from pbwpcn import (
 from pbwpcn.batch import ladder_rows, ladder_top, solve_lanes
 from pbwpcn.coop import derive_pairs
 from pbwpcn.experiments import _FIG4_BUDGETS, load_paper_instance, table_params
-from conftest import demand_oracle, random_instance
+from oracles import demand_oracle, random_instance
 from test_coop import defect_a_instance
 
 RTOL = 1e-12
@@ -160,6 +160,25 @@ def test_sweep_matches_the_scalar_loop(n_pairs, distance):
         }
         for name, value in expected.items():
             assert getattr(r, name) == pytest.approx(value, rel=RTOL, abs=1e-300), name
+
+
+@pytest.mark.parametrize("n_pairs", [3, 8])
+def test_auction_lanes_equal_auction_allocation(n_pairs):
+    # the lanes' ladder close prices each rung cold, as the walk and the
+    # fast path do, so every auction lane has the scalar solve's bits
+    cfg = ExperimentConfig(n_pairs=n_pairs, trials=6, seed=11)
+    base = table_params(n_pairs=n_pairs)
+    trials = [draw_channels(cfg, t) for t in range(cfg.trials)]
+    lanes = solve_lanes(base, trials, [derive_pairs(base, ch) for ch in trials],
+                        cfg.e_b_tot_grid, cfg.auction_config)
+    for k, budget in enumerate(cfg.e_b_tot_grid):
+        params = dataclasses.replace(base, e_b_tot=budget)
+        for t, channels in enumerate(trials):
+            e_fin, tau_fin, quit_, rounds = auction_allocation(params, channels, cfg.auction_config)
+            assert lanes.e_final[k, t].tolist() == list(e_fin), (budget, t)
+            assert lanes.tau_final[k, t].tolist() == list(tau_fin), (budget, t)
+            assert lanes.pb_quit[k, t] == quit_
+            assert lanes.rounds_used[k, t] == rounds
 
 
 def ladders():

@@ -12,7 +12,7 @@ from pbwpcn import AuctionConfig, make_views, run_auction, run_auction_protocol,
 from pbwpcn.cli import main
 from pbwpcn.experiments import load_paper_instance
 
-from conftest import jsonl
+from oracles import jsonl
 
 
 class TestPaperInstance:
@@ -223,6 +223,12 @@ class TestConfigErrors:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_config_path_is_a_directory(self, capsys, tmp_path):
+        assert main(["--config", str(tmp_path), "coop"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("config error: ") and str(tmp_path) in err[0]
+
     def test_invalid_json(self, capsys, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{not json")
@@ -329,22 +335,30 @@ class TestConfigErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "argv, under",
+        "argv, out, blocker",
         [
-            (["auction"], "x"),
-            (["protocol", "--which", "auction"], "x"),
-            (["sweep", "--trials", "2"], ""),
+            (["auction"], "file/x", "file"),
+            (["protocol", "--which", "auction"], "file/x", "file"),
+            (["sweep", "--trials", "2"], "file/", "file"),
+            (["auction"], "out", "out/auction_transcript.jsonl/"),
         ],
-        ids=["auction", "protocol", "sweep"],
+        ids=["auction", "protocol", "sweep", "auction-output-is-a-directory"],
     )
-    def test_unwritable_output_path(self, capsys, tmp_path, argv, under):
-        # a file where the output directory should be: a configuration error
-        # on one stderr line that names the path, not a traceback
-        blocker = tmp_path / "file"
-        blocker.write_text("")
-        out = os.path.join(blocker, under)
+    def test_unwritable_output_path(self, capsys, tmp_path, argv, out, blocker):
+        # a file where the output directory should be, or a directory where
+        # the output file should be: a configuration error on one stderr line
+        # that names the path, not a traceback
+        blocked = tmp_path / blocker
+        if blocker.endswith("/"):
+            blocked.mkdir(parents=True)
+        else:
+            blocked.write_text("")
+        out = os.path.join(tmp_path, out)
         assert main(argv + ["--out", out]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("config error: cannot write ") and out in err[0]
-        assert blocker.read_text() == ""
+        if blocked.is_dir():
+            assert not any(blocked.iterdir()) and os.listdir(out) == [blocked.name]
+        else:
+            assert blocked.read_text() == ""

@@ -33,7 +33,7 @@ from pbwpcn.model import social_welfare
 from pbwpcn.protocol import make_views, run_coop_protocol
 from pbwpcn.roots import _MAX_ITER
 
-from conftest import (
+from oracles import (
     convex_solver_welfare,
     demand_oracle,
     mp_z_minus_1,
@@ -265,19 +265,19 @@ class TestGamma:
             assert g == pytest.approx(d.e_lim, rel=1e-6)
 
     def test_near_cap_against_mpmath(self):
-        # within 1e-3 * alpha of the cap X - Y is ~1e-6 * X; cold, and warm
+        # within 1e-3 * alpha of the cap X - Y is ~1e-6 * X; scalar, and
         # through the pooled bids along falling prices as a price search moves
         params = table_params(n_pairs=2)
         ch = draw_channels(ExperimentConfig(n_pairs=2, seed=0), 693)[1]
         d = derive_pair(params, ch, params.weights[1])
         nus = [d.alpha * (1.0 - 1e-3 * (k + 0.5) / 50) for k in range(50)]
         bids_at = pooled_bids(params, [d], {"newton": 0})
-        for r, nu in enumerate(nus, 1):
+        for nu in nus:
             with mpmath.workdps(40):
                 y = mpmath.mpf(nu) * params.p_pb * mpmath.log(2) / d.lam_w
                 u = mp_z_minus_1(d.x_const, y)
                 expected = params.p_pb * u / (u + d.x_const)
-            for e in (gamma(params, ch, d, nu), bids_at(nu, r)[0]):
+            for e in (gamma(params, ch, d, nu), bids_at(nu)[0]):
                 assert abs(e - expected) <= 1e-11 * expected, nu
 
     def test_inverts_gradient(self):
@@ -299,7 +299,7 @@ class TestGamma:
             gamma(params, channels[0], d, -0.1)
 
 
-def warm_prices(deriveds, rng, count):
+def search_prices(deriveds, rng, count):
     """A price search's kind of sequence: each cap, just below and above it,
     and random prices up to past the largest cap, shuffled."""
     caps = [d.alpha for d in deriveds if d.alpha > 0.0]
@@ -311,24 +311,38 @@ def warm_prices(deriveds, rng, count):
     return [float(p) for p in prices]
 
 
+def pool_and_prices():
+    """(params, deriveds, prices): 200 pairs and 16 prices of a search's kind."""
+    params = table_params(n_pairs=200)
+    channels = draw_channels(ExperimentConfig(n_pairs=200, seed=5), 0)
+    ds = derive_pairs(params, channels)
+    return params, ds, search_prices(ds, np.random.default_rng(23), 16)
+
+
 class TestPooledBids:
     def test_a_pair_has_the_same_bits_alone_and_in_the_pool(self):
-        # each pair's warm start is its own, so the pool changes no bit
-        params = table_params(n_pairs=200)
-        channels = draw_channels(ExperimentConfig(n_pairs=200, seed=5), 0)
-        ds = derive_pairs(params, channels)
-        prices = warm_prices(ds, np.random.default_rng(23), 16)
+        # every root starts cold, so the pool changes no bit
+        params, ds, prices = pool_and_prices()
         pool = pooled_bids(params, ds, {"newton": 0})
         alone = [pooled_bids(params, [d], {"newton": 0}) for d in ds]
         live = 0
-        for r, nu in enumerate(prices, 1):
-            row = pool(nu, r)
+        for nu in prices:
+            row = pool(nu)
             assert all(isinstance(e, float) for e in row)
             for e, bids_at in zip(row, alone):
-                [expected] = bids_at(nu, r)
-                assert e.hex() == expected.hex(), (r, nu)
+                [expected] = bids_at(nu)
+                assert e.hex() == expected.hex(), nu
                 live += e > 0.0
         assert 0 < live < len(prices) * len(ds)
+
+    def test_a_bid_has_the_same_bits_whatever_was_asked_before(self):
+        params, ds, prices = pool_and_prices()
+        forwards = pooled_bids(params, ds, {"newton": 0})
+        backwards = pooled_bids(params, ds, {"newton": 0})
+        ahead = [forwards(nu) for nu in prices]
+        behind = [backwards(nu) for nu in reversed(prices)][::-1]
+        for nu, a, b in zip(prices, ahead, behind):
+            assert [e.hex() for e in a] == [e.hex() for e in b], nu
 
     @pytest.mark.parametrize("n", [3, 50])
     def test_match_gamma_and_drop_out_at_the_cap(self, n):
@@ -336,8 +350,8 @@ class TestPooledBids:
         for _ in range(10):
             params, channels, ds = random_instance(rng, n)
             bids_at = pooled_bids(params, ds, {"newton": 0})
-            for r, nu in enumerate(warm_prices(ds, rng, 14), 1):
-                for ch, d, e in zip(channels, ds, bids_at(nu, r)):
+            for nu in search_prices(ds, rng, 14):
+                for ch, d, e in zip(channels, ds, bids_at(nu)):
                     if nu >= d.alpha:
                         assert e == 0.0
                     else:

@@ -135,7 +135,8 @@ class TestSweep:
 
     def test_records_match_per_trial_solves(self):
         # the batched sweep takes the per-trial public solves' decisions; its
-        # records match them up to the round-off of its array arithmetic
+        # records match them up to the round-off of its array arithmetic, and
+        # its auction means bit for bit
         cfg = ExperimentConfig(trials=5, seed=3, e_b_tot_grid=(0.0, 0.7, 3.0))
         base = table_params(n_pairs=cfg.n_pairs)
         auc_cfg = AuctionConfig(reserve_price=cfg.reserve_price, step=cfg.price_step)
@@ -167,12 +168,8 @@ class TestSweep:
             assert r.welfare_nopb == fmean(nopb)
             assert r.trials == cfg.trials
             auc = [auction_allocation(params, channels, auc_cfg) for channels in trials]
-            assert r.mean_e_auction == pytest.approx(
-                fmean([e for a in auc for e in a[0]]), rel=1e-12, abs=1e-300
-            )
-            assert r.mean_tau_auction == pytest.approx(
-                fmean([t for a in auc for t in a[1]]), rel=1e-12
-            )
+            assert r.mean_e_auction == fmean([e for a in auc for e in a[0]])
+            assert r.mean_tau_auction == fmean([t for a in auc for t in a[1]])
             assert r.welfare_auction == pytest.approx(
                 fmean([welfare(params, ch, a[1], a[0]) for ch, a in zip(trials, auc)]),
                 rel=1e-12,
@@ -224,7 +221,7 @@ class TestCsvOutputs:
         write_instance_csvs(str(tmp_path), AuctionConfig())
         data = (tmp_path / "fig3_convergence.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == (
-            "0748755a373a15d0355bf9a566277070d94cedade9cc71e0e72803f5b401d647"
+            "e1191a8a21d2fce8bdd3f520ff7f4d2d04e4275eeff86d7ebd26e5a4eaa7a7ea"
         )
 
     def test_atomic_write_leaves_no_temp(self, tmp_path):

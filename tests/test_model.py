@@ -12,7 +12,7 @@ from pbwpcn import (
 )
 from pbwpcn.coop import derive_pair, tau_of_e
 
-from conftest import random_instance, weighted_rate_grid
+from oracles import random_instance, weighted_rate_grid
 
 
 def make_params(n=1, e_b_tot=1.0):

@@ -23,7 +23,7 @@ from pbwpcn import (
 from pbwpcn.coop import RoundLog
 from pbwpcn.protocol import PB_ID, Bus, Message, MessageKind, PBView
 
-from conftest import bytes_per_round, jsonl, random_instance
+from oracles import bytes_per_round, jsonl, random_instance
 
 
 def ap_to_ap_count(bus):
@@ -474,5 +474,5 @@ def test_coop_bus_golden_digest(paper):
     _, bus = run_coop_protocol(*make_views(*paper))
     text = jsonl(m.to_record() for m in bus.messages())
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "e3171b9f9b5e7cd4fbfc32904232ecf483f871df25474bc04c3af2e3996ba3c8"
+        "5cff621e24cee2fcfe2729200c1c06ae1e89ecd2fbfac5404c3a577946edc452"
     )

@@ -6,7 +6,7 @@ from scipy.special import lambertw as scipy_lambertw
 
 from pbwpcn import DomainError, lambert_w0, solve_z
 
-from conftest import mp_z_minus_1
+from oracles import mp_z_minus_1
 
 
 class TestLambertW0:
@@ -91,11 +91,6 @@ class TestSolveZ:
             y2 = y + float(rng.uniform(0.1, min(2.0, x1 - y - 0.01)))
             if x1 > y2:
                 assert solve_z(x1, y2) < solve_z(x1, y)
-
-    def test_warm_start_agrees(self):
-        z_cold = solve_z(41.5, 0.3)
-        z_warm = solve_z(41.5, 0.3, z_hint=z_cold * 1.001)
-        assert z_warm == pytest.approx(z_cold, rel=1e-9)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
