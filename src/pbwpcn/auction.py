@@ -26,8 +26,6 @@ from .coop import (
     derive_pairs,
     final_clinch_prr,
     gamma,
-    pooled_bids,
-    price_search,
     tau_of_e,
 )
 
@@ -212,7 +210,8 @@ def run_auction(params: SystemParams, channels, cfg: AuctionConfig) -> AuctionOu
     prev_bids = None
     no_clinch = array("d", bytes(8 * n))
     for t0 in range(0, t_top + 1, LADDER_BLOCK):
-        block = ladder_rows(params, deriveds, cfg, t0, min(t0 + LADDER_BLOCK, t_top + 1))
+        rounds = np.arange(t0, min(t0 + LADDER_BLOCK, t_top + 1))
+        block = ladder_rows(params, deriveds, cfg, rounds)
         totals = _row_sums(block)
         # the walk closes at the first round whose bids fit the budget; every
         # bid is zero at the ladder top, so it closes there at the latest
@@ -259,47 +258,34 @@ def run_auction(params: SystemParams, channels, cfg: AuctionConfig) -> AuctionOu
     )
 
 
-def ladder_close(params, channels, deriveds, nu, t_top, cfg):
-    """Close the auction at the first ladder round priced at or above ``nu``.
-
-    Both mechanisms share one demand, so the water-filling price locates the
-    close; single steps keep it exact from any ``nu``.  Rounds are read
-    through ``ladder_rows``, as the walk reads them, so the close is the walk's.
-    """
-    t = math.ceil(min(max((nu - cfg.reserve_price) / cfg.step, 0.0), t_top))
-    # the close and the round before it, in one block
-    t0 = max(t - 1, 0)
-    rows = dict(enumerate(ladder_rows(params, deriveds, cfg, t0, t + 1).tolist(), t0))
-
-    def bids(t):
-        if t not in rows:
-            rows[t] = ladder_rows(params, deriveds, cfg, t, t + 1)[0].tolist()
-        return rows[t]
-
-    # every bid is zero at the ladder top, so demand there never exceeds the budget
-    while t < t_top and math.fsum(bids(t)) > params.e_b_tot:
-        t += 1
-    while t > 0 and math.fsum(bids(t - 1)) <= params.e_b_tot:
-        t -= 1
-    e_final = (0.0,) * len(deriveds)  # t == 0: supply meets demand at the reserve
-    if t > 0:
-        e_final = tuple(final_clinch_prr(params.e_b_tot, bids(t), bids(t - 1)))
-    tau_final = tuple(
-        tau_of_e(params, ch, d, e) for ch, d, e in zip(channels, deriveds, e_final)
-    )
-    return e_final, tau_final, t == 0, t + 1
-
-
 def auction_allocation(params: SystemParams, channels, cfg: AuctionConfig):
     """Fast path to the final allocation only (no transcript, no payments).
 
-    Price search, then round up to the ladder: ``ladder_close`` starts from
-    the search's dual price and reads the ladder's rows as the walk does.
+    The walk's close, found by search rather than by scan: each step prices
+    ``LADDER_BLOCK`` evenly spaced rounds inside the bracket (``lo``, ``hi``)
+    through ``ladder_rows`` and narrows it to the first that fits the budget
+    by the walk's rule.  Totals never rise along the ladder, so that round is
+    the walk's close, and its rows have the walk's bits.
     Returns (e_final, tau_final, pb_quit, rounds_used).
     """
     deriveds = derive_pairs(params, channels)
-    t_top = ladder_top(deriveds, cfg)  # a bad ladder fails before any bid
-    stats = {"newton": 0}
-    bids_at = pooled_bids(params, deriveds, stats)
-    nu, _, _ = price_search(deriveds, params.e_b_tot, bids_at, RoundLog(), stats)
-    return ladder_close(params, channels, deriveds, nu, t_top, cfg)
+    budget, n = params.e_b_tot, len(deriveds)
+    # round lo overflows the budget (or is -1) and round hi fits it; every
+    # bid is zero at the ladder top, so its row needs no pricing
+    lo, hi = -1, ladder_top(deriveds, cfg)
+    row_lo, row_hi = None, [0.0] * n
+    while hi - lo > 1:
+        m = min(LADDER_BLOCK, hi - lo - 1)
+        rounds = [lo + (hi - lo) * i // (m + 1) for i in range(1, m + 1)]
+        block = ladder_rows(params, deriveds, cfg, rounds)
+        k = next((k for k, total in enumerate(_row_sums(block)) if total <= budget), m)
+        if k < m:
+            hi, row_hi = rounds[k], block[k].tolist()
+        if k:
+            lo, row_lo = rounds[k - 1], block[k - 1].tolist()
+    # hi == 0: demand never exceeds supply at the reserve price, no trade
+    e_final = (0.0,) * n if hi == 0 else tuple(final_clinch_prr(budget, row_hi, row_lo))
+    tau_final = tuple(
+        tau_of_e(params, ch, d, e) for ch, d, e in zip(channels, deriveds, e_final)
+    )
+    return e_final, tau_final, hi == 0, hi + 1

@@ -3,10 +3,10 @@ ladder close for a batch of (trial, budget) lanes.
 
 ``_demand`` is the one demand, every root started cold: a bid depends on its
 pair and price alone.  ``coop.pooled_bids`` calls it once per price and
-``ladder_rows`` once per block of ladder rounds.  ``solve_lanes`` takes
-the decisions of ``price_search`` and ``ladder_close`` on every lane at once,
-over float64 arrays indexed by (lane, pair); each scalar check is an array
-check raising the same error type.
+``ladder_rows`` once per set of ladder rounds.  ``solve_lanes`` takes the
+decisions of ``price_search`` and of the auction's close on every lane at
+once, over float64 arrays indexed by (lane, pair); each scalar check is an
+array check raising the same error type.
 """
 
 from __future__ import annotations
@@ -124,19 +124,22 @@ def ladder_top(deriveds, cfg) -> int:
     t_top = math.ceil(max(span, 1.0))
     if cfg.reserve_price + t_top * cfg.step < alpha_max:
         t_top += 1  # the rounded quotient can leave the price one ulp short
+    if t_top > 2**53:
+        # past 2**53 a round's index is no longer an exact double
+        raise DomainError(f"price step {cfg.step} gives a ladder of more than 2**53 rounds")
     return t_top
 
 
-def ladder_rows(params, deriveds, cfg, t0: int, t1: int):
-    """Every pair's bid in ladder rounds ``t0 .. t1 - 1``,
-    shaped (t1 - t0, n); round t is priced ``cfg.reserve_price + t * cfg.step``.
+def ladder_rows(params, deriveds, cfg, rounds):
+    """Every pair's bid in each ladder round of the integer sequence ``rounds``,
+    shaped (len(rounds), n); round t is priced ``cfg.reserve_price + t * cfg.step``.
 
     An entry depends on its pair and round alone: a row has the same bits
-    whichever block it is read in.
+    whichever rounds it is read with.
     """
     x, alpha, lam_w = (np.array([getattr(d, f) for d in deriveds])
                        for f in ("x_const", "alpha", "lam_w"))
-    mu = cfg.reserve_price + np.arange(t0, t1)[:, None] * cfg.step
+    mu = cfg.reserve_price + np.asarray(rounds, dtype=float)[:, None] * cfg.step
     with np.errstate(all="ignore"):
         return _demand(params.p_pb, x, alpha, lam_w, mu, {"newton": 0})
 

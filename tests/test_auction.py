@@ -444,29 +444,22 @@ class TestAuctionAllocation:
         assert math.fsum(e_fin) == pytest.approx(params.e_b_tot, abs=1e-12)
 
     def test_no_price_evaluated_twice(self, paper, monkeypatch):
-        # the search prices each of its levels once through the pooled bids;
-        # the close reads each ladder round once, through ladder_rows as the
-        # walk does, and never through the pooled bids
-        calls = []
-
-        def recording_pooled_bids(*args, **kwargs):
-            bids_at = coop.pooled_bids(*args, **kwargs)
-
-            def recording_bids_at(price):
-                calls.append(price)
-                return bids_at(price)
-
-            return recording_bids_at
+        # the search reads each ladder round at most once, through ladder_rows
+        # as the walk does, and never runs the water-filling price search
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the fast path must not run the price search")
 
         original_rows = auction.ladder_rows
-        rounds = []
+        calls = []
 
-        def recording_rows(params, deriveds, cfg, t0, t1):
-            rounds.extend(range(t0, t1))
-            return original_rows(params, deriveds, cfg, t0, t1)
+        def recording_rows(params, deriveds, cfg, rounds):
+            calls.append(list(rounds))
+            return original_rows(params, deriveds, cfg, rounds)
 
-        monkeypatch.setattr(auction, "pooled_bids", recording_pooled_bids)
+        monkeypatch.setattr(coop, "price_search", forbidden)
+        monkeypatch.setattr(coop, "pooled_bids", forbidden)
         monkeypatch.setattr(auction, "ladder_rows", recording_rows)
+        assert not hasattr(auction, "price_search") and not hasattr(auction, "pooled_bids")
         rng = np.random.default_rng(22)
         params, channels = paper
         cases = [(params, channels, AuctionConfig())]
@@ -474,8 +467,8 @@ class TestAuctionAllocation:
             params, channels, _ = random_instance(rng, int(rng.integers(2, 5)))
             cfg = AuctionConfig(step=float(rng.uniform(0.005, 0.05)))
             cases.append((params, channels, cfg))
-        # a zero reserve prices ladder round 0 like the search's first round;
-        # near-slack budgets put the close at round 0 or 1
+        # a zero reserve prices ladder round 0 at zero; near-slack budgets
+        # put the close at round 0 or 1
         params, channels = paper
         cases.append((params, channels, AuctionConfig(reserve_price=0.0)))
         cases.append((dataclasses.replace(params, e_b_tot=5.0), channels,
@@ -488,46 +481,14 @@ class TestAuctionAllocation:
             cases.append((params, channels, cfg))
         for params, channels, cfg in cases:
             calls.clear()
-            rounds.clear()
             _, _, _, used = auction_allocation(params, channels, cfg)
-            assert calls
-            assert len(set(calls)) == len(calls)
-            assert used - 1 in rounds
+            rounds = [t for call in calls for t in call]
+            t_top = auction.ladder_top(coop.derive_pairs(params, channels), cfg)
             assert len(set(rounds)) == len(rounds)
-
-
-class TestLadderClose:
-    def test_walk_recovers_the_close_from_any_price(self, paper):
-        # the safeguard steps find the walk's closing round from a price
-        # that is off by whole ladder steps, at zero, or above every cap
-        rng = np.random.default_rng(31)
-        params, channels = paper
-        instances = [
-            (params, channels, AuctionConfig()),
-            (params, channels, AuctionConfig(reserve_price=0.0, step=0.02)),
-            (dataclasses.replace(params, e_b_tot=5.0), channels, AuctionConfig()),
-        ]
-        for _ in range(6):
-            params, channels, _ = random_instance(rng, int(rng.integers(2, 5)))
-            instances.append(
-                (params, channels, AuctionConfig(step=float(rng.uniform(0.005, 0.05))))
-            )
-        for params, channels, cfg in instances:
-            full = run_auction(params, channels, cfg)
-            ds = coop.derive_pairs(params, channels)
-            t_top = auction.ladder_top(ds, cfg)
-            nu_star = waterfill(params, channels).nu
-            alpha_max = max(d.alpha for d in ds)
-            prices = [nu_star + k * cfg.step for k in (-3, -1, 1, 3)]
-            prices += [0.0, alpha_max, cfg.reserve_price + (t_top + 5) * cfg.step]
-            for nu in prices:
-                e_fin, tau_fin, quit_, rounds = auction.ladder_close(
-                    params, channels, ds, nu, t_top, cfg
-                )
-                assert quit_ == full.pb_quit
-                assert rounds == full.rounds_used
-                assert e_fin == full.e_final
-                assert tau_fin == full.tau_final
+            close = used - 1
+            assert close == 0 or close - 1 in rounds
+            assert close == t_top or close in rounds
+            assert len(calls) <= math.ceil(math.log(t_top + 1, 64)) + 1
 
 
 class TestLadderBlocks:
@@ -537,7 +498,8 @@ class TestLadderBlocks:
     def budget_closing_at(params, channels, cfg, t, exact):
         """A budget whose walk closes at round ``t``: the demand of round t,
         or (``exact`` false) halfway to round t - 1's."""
-        rows = ladder_rows(params, coop.derive_pairs(params, channels), cfg, max(t - 1, 0), t + 1)
+        rows = ladder_rows(
+            params, coop.derive_pairs(params, channels), cfg, range(max(t - 1, 0), t + 1))
         total = math.fsum(rows[-1].tolist())
         if exact or t == 0:
             return total
@@ -550,7 +512,7 @@ class TestLadderBlocks:
         fast = auction_allocation(params, channels, cfg)
         assert fast == (full.e_final, full.tau_final, full.pb_quit, full.rounds_used)
         ds = coop.derive_pairs(params, channels)
-        rows = ladder_rows(params, ds, cfg, 0, t_close + 1)
+        rows = ladder_rows(params, ds, cfg, range(0, t_close + 1))
         assert full.log.bids.tobytes() == rows.tobytes()
         if full.pb_quit:
             assert len(full.log.clinched) == 0

@@ -19,8 +19,10 @@ from pbwpcn import (
     throughput,
     waterfill,
 )
+from pbwpcn.auction import MAX_LADDER_ROUNDS
 from pbwpcn.batch import ladder_rows, ladder_top, solve_lanes
 from pbwpcn.coop import derive_pairs
+from pbwpcn.errors import DomainError
 from pbwpcn.experiments import _FIG4_BUDGETS, load_paper_instance, table_params
 from oracles import demand_oracle, random_instance
 from test_coop import defect_a_instance
@@ -181,6 +183,46 @@ def test_auction_lanes_equal_auction_allocation(n_pairs):
             assert lanes.rounds_used[k, t] == rounds
 
 
+@pytest.mark.parametrize("step", [1e-9, 1e-12, 1e-14])
+def test_fast_path_equals_the_lanes_where_the_walk_cannot_run(paper, step):
+    # two independent closes: the fast path searches the ladder from round 0,
+    # the lanes step from the dual price; no walk climbs a ladder this long
+    cfg = AuctionConfig(step=step)
+    rng = np.random.default_rng(53)
+    instances = [paper] + [random_instance(rng, int(rng.integers(2, 6)))[:2] for _ in range(4)]
+    for params, channels in instances:
+        lanes = solve_lanes(params, [channels], [derive_pairs(params, channels)],
+                            [params.e_b_tot], cfg)
+        e_fin, tau_fin, quit_, rounds = auction_allocation(params, channels, cfg)
+        assert rounds > MAX_LADDER_ROUNDS
+        assert lanes.e_final[0, 0].tolist() == list(e_fin)
+        assert lanes.tau_final[0, 0].tolist() == list(tau_fin)
+        assert lanes.pb_quit[0, 0] == quit_
+        assert lanes.rounds_used[0, 0] == rounds
+
+
+@pytest.mark.parametrize("weight, step", [(10.0, 1e-300), (1e300, 0.01)],
+                         ids=["tiny-step", "huge-weights"])
+def test_a_ladder_past_2_53_rounds_is_a_domain_error(paper, weight, step):
+    # past 2**53 a round's index is no longer an exact double
+    params, channels = paper
+    params = dataclasses.replace(params, weights=(weight,) * len(channels))
+    cfg = AuctionConfig(step=step)
+    with pytest.raises(DomainError, match=r"2\*\*53"):
+        auction_allocation(params, channels, cfg)
+    with pytest.raises(DomainError, match=r"2\*\*53"):
+        solve_lanes(params, [channels], [derive_pairs(params, channels)], [params.e_b_tot], cfg)
+
+
+def test_the_longest_ladder_has_2_53_rounds(paper):
+    params, channels = paper
+    ds = derive_pairs(params, channels)
+    step = max(d.alpha for d in ds) / 2**53
+    assert ladder_top(ds, AuctionConfig(reserve_price=0.0, step=step)) == 2**53
+    with pytest.raises(DomainError, match=r"2\*\*53"):
+        ladder_top(ds, AuctionConfig(reserve_price=0.0, step=math.nextafter(step, 0.0)))
+
+
 def ladders():
     """(params, channels, cfg) of the paper instance at two steps, 20 random
     instances, and a reserve price between the paper's caps."""
@@ -202,7 +244,7 @@ class TestLadderRows:
         for params, channels, cfg in ladders():
             ds = derive_pairs(params, channels)
             top = ladder_top(ds, cfg)
-            rows = ladder_rows(params, ds, cfg, 0, top + 1)
+            rows = ladder_rows(params, ds, cfg, range(0, top + 1))
             assert rows.shape == (top + 1, len(ds))
             oracles = [demand_oracle(params, ch, d) for ch, d in zip(channels, ds)]
             for t, row in enumerate(rows):
@@ -219,18 +261,30 @@ class TestLadderRows:
         for params, channels, cfg in ladders():
             ds = derive_pairs(params, channels)
             top = ladder_top(ds, cfg)
-            whole = ladder_rows(params, ds, cfg, 0, top + 1)
+            whole = ladder_rows(params, ds, cfg, range(0, top + 1))
             for t in map(int, rng.integers(0, top + 1, size=10)):
-                assert ladder_rows(params, ds, cfg, t, t + 1).tobytes() == whole[t].tobytes()
+                assert ladder_rows(params, ds, cfg, range(t, t + 1)).tobytes() == whole[t].tobytes()
             for _ in range(5):
                 t0 = int(rng.integers(0, top + 1))
                 t1 = int(rng.integers(t0 + 1, top + 2))
-                assert ladder_rows(params, ds, cfg, t0, t1).tobytes() == whole[t0:t1].tobytes()
+                assert ladder_rows(params, ds, cfg, range(t0, t1)).tobytes() == whole[t0:t1].tobytes()
+
+    def test_a_row_has_the_same_bits_in_any_spread_of_rounds(self):
+        # the fast path prices rounds spread over the ladder, not a block
+        rng = np.random.default_rng(47)
+        for params, channels, cfg in ladders():
+            ds = derive_pairs(params, channels)
+            top = ladder_top(ds, cfg)
+            whole = ladder_rows(params, ds, cfg, range(0, top + 1))
+            for _ in range(5):
+                rounds = sorted(rng.choice(top + 1, size=min(top + 1, 64), replace=False))
+                rows = ladder_rows(params, ds, cfg, [int(t) for t in rounds])
+                assert rows.tobytes() == whole[rounds].tobytes()
 
     def test_rounds_past_the_top_bid_nothing(self, paper):
         params, channels = paper
         ds = derive_pairs(params, channels)
         cfg = AuctionConfig()
         top = ladder_top(ds, cfg)
-        assert not ladder_rows(params, ds, cfg, top, top + 100).any()
-        assert ladder_rows(params, ds, cfg, 5, 5).shape == (0, 3)
+        assert not ladder_rows(params, ds, cfg, range(top, top + 100)).any()
+        assert ladder_rows(params, ds, cfg, range(5, 5)).shape == (0, 3)

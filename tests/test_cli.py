@@ -216,6 +216,13 @@ class TestLadderTooLong:
         assert captured.out == ""
         assert "ladder" in captured.err
 
+    def test_past_2_53_rounds(self, capsys):
+        # no round count is printed: past 2**53 rounds the index is not exact
+        assert main(["auction", "--delta", "1e-300"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "more than 2**53 rounds" in captured.err
+
 
 class TestConfigErrors:
     def test_missing_config_file(self, capsys, tmp_path):
