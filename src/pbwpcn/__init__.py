@@ -24,7 +24,6 @@ from .auction import (
     auction_allocation,
     best_response,
     cumulative_clinch,
-    final_clinch_prr,
     payment,
     run_auction,
 )

@@ -17,26 +17,15 @@ from itertools import chain, pairwise
 
 import numpy as np
 
-from .batch import ladder_rows, ladder_top
+from .batch import LADDER_BLOCK, _prr, _row_sums, columns, ladder_close, ladder_rows, ladder_top
 from .errors import DomainError
 from .model import PairChannel, SystemParams, throughput
-from .coop import (
-    PairDerived,
-    RoundLog,
-    derive_pairs,
-    final_clinch_prr,
-    gamma,
-    tau_of_e,
-)
+from .coop import PairDerived, RoundLog, derive_pairs, gamma, tau_of_e
 
 
 # longest price ladder the walk climbs; a longer one is a configuration error,
 # since the walk keeps every round in its log
 MAX_LADDER_ROUNDS = 10_000_000
-# ladder rounds the walk prices per ``ladder_rows`` call: each call has a
-# fixed cost, and beyond about 64 rounds a block's temporaries outweigh the
-# packed log in the walk's peak memory per round
-LADDER_BLOCK = 64
 # margin of cumulative_clinch's screen, relative to the bids' total
 _SCREEN_EPS = 4.0 * sys.float_info.epsilon
 
@@ -136,13 +125,6 @@ def _clinch_vector(e_b_tot: float, bids, total: float) -> list[float]:
     ]
 
 
-def _row_sums(rows) -> list[float]:
-    """``math.fsum`` of each row of a 2-D array, read as one flat list: a
-    list per row would leave a block's worth of them in the free lists."""
-    flat, n = rows.ravel().tolist(), rows.shape[1]
-    return [math.fsum(flat[i:i + n]) for i in range(0, len(flat), n)]
-
-
 def _screened_rows(e_b_tot: float, rows, totals):
     """Which rows of the array ``rows``, whose ``math.fsum`` are ``totals``,
     clear ``_clinch_vector``'s screen on every entry and so clinch nothing."""
@@ -228,15 +210,15 @@ def run_auction(params: SystemParams, channels, cfg: AuctionConfig) -> AuctionOu
         prices.extend(cfg.reserve_price + t * cfg.step for t in range(t0, t0 + walked))
         bid_log.frombytes(block[:walked].tobytes())
         if k:
-            prev_bids = block[k - 1].tolist()
+            prev_bids, prev_total = block[k - 1], totals[k - 1]
         if k < len(totals):
-            bids, t = block[k].tolist(), t0 + k
+            bids, total, t = block[k], totals[k], t0 + k
             break
     if t == 0:
         # demand never exceeds supply at the reserve price: no trade
         e_final = pay = (0.0,) * n
     else:
-        e_final = final_clinch_prr(budget, bids, prev_bids)
+        e_final = _prr(budget, bids, prev_bids, total, prev_total).tolist()
         clinched.extend(e_final)
         pay = _payments(prices, clinched, n, t if start is None else start)
     tau_final = tuple(
@@ -261,31 +243,16 @@ def run_auction(params: SystemParams, channels, cfg: AuctionConfig) -> AuctionOu
 def auction_allocation(params: SystemParams, channels, cfg: AuctionConfig):
     """Fast path to the final allocation only (no transcript, no payments).
 
-    The walk's close, found by search rather than by scan: each step prices
-    ``LADDER_BLOCK`` evenly spaced rounds inside the bracket (``lo``, ``hi``)
-    through ``ladder_rows`` and narrows it to the first that fits the budget
-    by the walk's rule.  Totals never rise along the ladder, so that round is
-    the walk's close, and its rows have the walk's bits.
+    ``batch.ladder_close`` on one lane: the walk's close found by search
+    rather than by scan, with the walk's rows and split.
     Returns (e_final, tau_final, pb_quit, rounds_used).
     """
     deriveds = derive_pairs(params, channels)
-    budget, n = params.e_b_tot, len(deriveds)
-    # round lo overflows the budget (or is -1) and round hi fits it; every
-    # bid is zero at the ladder top, so its row needs no pricing
-    lo, hi = -1, ladder_top(deriveds, cfg)
-    row_lo, row_hi = None, [0.0] * n
-    while hi - lo > 1:
-        m = min(LADDER_BLOCK, hi - lo - 1)
-        rounds = [lo + (hi - lo) * i // (m + 1) for i in range(1, m + 1)]
-        block = ladder_rows(params, deriveds, cfg, rounds)
-        k = next((k for k, total in enumerate(_row_sums(block)) if total <= budget), m)
-        if k < m:
-            hi, row_hi = rounds[k], block[k].tolist()
-        if k:
-            lo, row_lo = rounds[k - 1], block[k - 1].tolist()
-    # hi == 0: demand never exceeds supply at the reserve price, no trade
-    e_final = (0.0,) * n if hi == 0 else tuple(final_clinch_prr(budget, row_hi, row_lo))
+    [t], [e_final], _, _ = ladder_close(params.p_pb, columns([deriveds]), cfg,
+                                        [params.e_b_tot], [ladder_top(deriveds, cfg)])
+    e_final, t = tuple(e_final.tolist()), int(t)
     tau_final = tuple(
         tau_of_e(params, ch, d, e) for ch, d, e in zip(channels, deriveds, e_final)
     )
-    return e_final, tau_final, hi == 0, hi + 1
+    # t == 0: demand never exceeds supply at the reserve price, no trade
+    return e_final, tau_final, t == 0, t + 1

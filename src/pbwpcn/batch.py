@@ -1,12 +1,13 @@
-"""Array demands: every pair's bid at a price, and water-filling and its
-ladder close for a batch of (trial, budget) lanes.
+"""Array demands: every pair's bid at a price, the auction's close and
+water-filling, for a batch of (trial, budget) lanes.
 
 ``_demand`` is the one demand, every root started cold: a bid depends on its
 pair and price alone.  ``coop.pooled_bids`` calls it once per price and
-``ladder_rows`` once per set of ladder rounds.  ``solve_lanes`` takes the
-decisions of ``price_search`` and of the auction's close on every lane at
-once, over float64 arrays indexed by (lane, pair); each scalar check is an
-array check raising the same error type.
+``lane_rows`` once per set of ladder rounds.  ``ladder_close`` is the one
+search for the auction's close, and ``_prr`` the one rationing split.
+``solve_lanes`` takes the decisions of ``price_search`` and of the auction's
+close on every lane at once, over float64 arrays indexed by (lane, pair);
+each scalar check is an array check raising the same error type.
 """
 
 from __future__ import annotations
@@ -23,6 +24,11 @@ from .roots import _ABS_TOL, _MAX_ITER
 
 log = logging.getLogger("pbwpcn")
 
+# ladder rounds one ``lane_rows`` call prices, in a block of the walk or a
+# pass of ``ladder_close`` over all its lanes: each call has a fixed cost,
+# and beyond about 64 rounds a block's temporaries outweigh the walk's packed
+# log in its peak memory per round
+LADDER_BLOCK = 64
 
 # both mechanisms on every lane: arrays shaped (budget, trial) or (budget, trial, pair)
 Lanes = namedtuple(
@@ -39,6 +45,20 @@ def _sum(a):
         z = t - s
         c, s = c + ((s - (t - z)) + (x - z)), t
     return s + c
+
+
+def _row_sums(rows) -> list[float]:
+    """``math.fsum`` of each row of a 2-D array, read as one flat list: a
+    list per row would leave a block's worth of them in the free lists."""
+    flat, n = rows.ravel().tolist(), rows.shape[1]
+    return [math.fsum(flat[i:i + n]) for i in range(0, len(flat), n)]
+
+
+def columns(records, fields=("x_const", "alpha", "lam_w")):
+    """Each of ``fields`` over ``records``, equal-length lists of pair records,
+    as a float array shaped (list, pair); by default the columns a bid reads."""
+    return [np.array([[getattr(r, f) for r in rs] for rs in records], dtype=float)
+            for f in fields]
 
 
 def _alpha_groups(alphas):
@@ -130,45 +150,91 @@ def ladder_top(deriveds, cfg) -> int:
     return t_top
 
 
-def ladder_rows(params, deriveds, cfg, rounds):
-    """Every pair's bid in each ladder round of the integer sequence ``rounds``,
-    shaped (len(rounds), n); round t is priced ``cfg.reserve_price + t * cfg.step``.
-
-    An entry depends on its pair and round alone: a row has the same bits
-    whichever rounds it is read with.
-    """
-    x, alpha, lam_w = (np.array([getattr(d, f) for d in deriveds])
-                       for f in ("x_const", "alpha", "lam_w"))
+def lane_rows(p_pb, cols, cfg, rounds):
+    """Row i: every pair's bid in ladder round ``rounds[i]``, priced
+    ``cfg.reserve_price + rounds[i] * cfg.step``, of the lane whose bid
+    ``columns`` are row i of ``cols``, or their one row.  A row depends on
+    its lane and round alone."""
     mu = cfg.reserve_price + np.asarray(rounds, dtype=float)[:, None] * cfg.step
     with np.errstate(all="ignore"):
-        return _demand(params.p_pb, x, alpha, lam_w, mu, {"newton": 0})
+        return _demand(p_pb, *cols, mu, {"newton": 0})
 
 
-def _prr(budget, last, prev):
-    """``final_clinch_prr`` on each row."""
-    s_last, s_prev = _sum(last), _sum(prev)
+def ladder_rows(params, deriveds, cfg, rounds):
+    """Every pair's bid in each ladder round of the integer sequence ``rounds``,
+    shaped (len(rounds), n): ``lane_rows`` of one lane."""
+    return lane_rows(params.p_pb, columns([deriveds]), cfg, rounds)
+
+
+def _prr(budget, last, prev, s_last, s_prev):
+    """Proportional rationing of each row's budget between bid rows ``last``
+    and ``prev`` that straddle it, of exact (``math.fsum``) totals ``s_last``
+    and ``s_prev``: each bidder keeps its ``last`` bid plus a share of the
+    residual supply in proportion to its cut from ``prev``.  It closes the
+    clinching auction and the price search's last ulp."""
+    budget, s_last, s_prev = (np.asarray(v, dtype=float)[..., None]
+                              for v in (budget, s_last, s_prev))
     if not np.all((s_last <= budget) & (budget < s_prev)):
         raise DomainError("supply not crossed between two bid vectors")
     if np.any(last > prev * (1.0 + 1e-12) + 1e-300):
         raise DomainError("bids must be elementwise nonincreasing between rounds")
-    residual = (budget - s_last)[:, None]
-    split = last + (prev - last) / (s_prev - s_last)[:, None] * residual
+    residual = budget - s_last
+    split = last + (prev - last) / (s_prev - s_last) * residual
     return np.where(residual == 0.0, last, split)
+
+
+def ladder_close(p_pb, cols, cfg, budgets, t_tops, first=None):
+    """The walk's close on every lane, by search: the first ladder round
+    whose bids' exact sum fits the lane's budget.
+
+    Each lane's bracket (lo, hi), lo overflowing the budget (or -1) and hi
+    fitting it, starts at (-1, ``t_tops``), where every bid is zero.  A pass
+    prices each open bracket's share of ``LADDER_BLOCK`` rounds, at least
+    one, evenly spaced, or the rounds of ``first`` (lane, k) in the first
+    pass, and narrows each bracket to its first round that fits.  Totals never
+    rise along the ladder, so any first rounds give the walk's close and rows.
+    Returns per lane the close, its ``_prr`` split, and the rows it split."""
+    budgets = np.asarray(budgets, dtype=float)
+    ends = np.stack([np.full(len(budgets), -1), t_tops])  # lo and hi
+    rows, sums = np.zeros((2,) + cols[0].shape), np.zeros(ends.shape)  # of lo and hi
+    r = None if first is None else np.sort(first, axis=1)
+    while (ends[1] - ends[0] > 1).any():
+        lo, hi = ends[:, :, None]
+        if r is None:
+            m = max(1, LADDER_BLOCK // np.count_nonzero(hi - lo > 1))
+            r = lo + (hi - lo) * np.arange(1, m + 1) // (m + 1)
+        keep = (lo < r) & (r < hi)
+        keep[:, 1:] &= r[:, 1:] != r[:, :-1]  # a narrow bracket's rounds once each
+        lanes, rounds, r = keep.nonzero()[0], r[keep], None
+        got = lane_rows(p_pb, [c[lanes] for c in cols], cfg, rounds)
+        totals = np.array(_row_sums(got))
+        # each lane's first row that fits, else one past its last
+        start = np.flatnonzero(np.diff(lanes, prepend=-1))
+        end = np.append(start[1:], lanes.size)
+        fit = np.where(totals <= budgets[lanes], np.arange(lanes.size), lanes.size)
+        k = np.minimum(np.minimum.reduceat(fit, start), end)
+        for side, j, ok in ((0, k - 1, k > start), (1, k, k < end)):
+            i, j = lanes[start[ok]], j[ok]
+            ends[side, i], rows[side, i], sums[side, i] = rounds[j], got[j], totals[j]
+    close, e_fin = ends[1], np.zeros_like(rows[1])
+    i = np.flatnonzero(close > 0)  # round 0 fits: no trade
+    e_fin[i] = _prr(budgets[i], rows[1, i], rows[0, i], sums[1, i], sums[0, i])
+    return close, e_fin, rows[1], rows[0]
 
 
 def solve_lanes(params, channels, deriveds, budgets, cfg) -> Lanes:
     """Lane (k, t) takes the decisions ``waterfill`` and ``auction_allocation``
     take on trial t (``channels[t]``, ``deriveds[t]``) at budget ``budgets[k]``,
-    not ``params.e_b_tot``; its numbers differ from theirs only in round-off.
-    Logs one summary line at DEBUG."""
+    not ``params.e_b_tot``.  Its auction numbers are ``auction_allocation``'s
+    bit for bit, through the same ``ladder_close``; its water-filling numbers
+    differ from ``waterfill``'s only in round-off.  Logs one summary line at
+    DEBUG."""
     n_t, n = len(deriveds), params.n_pairs
     p_pb, eta, sig, mu0, dmu = params.p_pb, params.eta, params.noise_w, cfg.reserve_price, cfg.step
     t_top = np.array([ladder_top(ds, cfg) for ds in deriveds])  # a bad ladder fails first
-    g, k = (np.array([[getattr(c, f) for c in chs] for chs in channels]).reshape(n_t, n)
-            for f in ("g_pow", "k_pow"))
-    x, z_dag, alpha, e_lim, lam_w = (
-        np.array([[getattr(d, f) for d in ds] for ds in deriveds]).reshape(n_t, n)
-        for f in ("x_const", "z_dag", "alpha", "e_lim", "lam_w"))
+    g, k = columns(channels, ("g_pow", "k_pow"))
+    x, z_dag, alpha, e_lim, lam_w = columns(
+        deriveds, ("x_const", "z_dag", "alpha", "e_lim", "lam_w"))
     # the price search's levels: 0, then each group's cap ascending, then +inf padding
     prices = np.hstack([np.zeros((n_t, 1)), np.full((n_t, n), np.inf)])
     lim_sum = np.ones((n_t, n + 1))
@@ -224,7 +290,8 @@ def solve_lanes(params, channels, deriveds, budgets, cfg) -> Lanes:
             ulp = ~((a < mu) & (mu < b))  # no double inside: split the last ulp
             mu[ulp] = b[ulp]
             got = np.empty_like(a_bids)
-            got[ulp] = _prr(bud[ulp], b_bids[ulp], a_bids[ulp])
+            got[ulp] = _prr(bud[ulp], b_bids[ulp], a_bids[ulp],
+                            _row_sums(b_bids[ulp]), _row_sums(a_bids[ulp]))
             got[~ulp] = bids(i[~ulp], mu[~ulp])
             f = _sum(got) - bud
             done = ulp | (np.abs(f) <= 1e-12 * bud)
@@ -241,29 +308,10 @@ def solve_lanes(params, channels, deriveds, budgets, cfg) -> Lanes:
             kept = np.where(pos, 1, 2)
             i, a, b, bud, f_a, f_b, kept, a_bids, b_bids = (
                 v[~done] for v in (i, a, b, bud, f_a, f_b, kept, a_bids, b_bids))
-        # the ladder close: single steps from the first rung priced at or above nu
-        top = t_top[tr]
-        t = np.ceil(np.minimum(np.maximum((nu - mu0) / dmu, 0.0), top)).astype(np.int64)
-        cur, prev = bids(np.arange(tr.size), mu0 + t * dmu), np.zeros((tr.size, n))
-        up = (t < top) & (_sum(cur) > budget)
-        moved, moves = up.copy(), 0
-        while up.any():
-            i = np.flatnonzero(up)
-            prev[i], t[i], moves = cur[i], t[i] + 1, moves + i.size
-            cur[i] = bids(i, mu0 + t[i] * dmu)
-            up[i] = (t[i] < top[i]) & (_sum(cur[i]) > budget[i])
-        i = np.flatnonzero(~moved & (t > 0))
-        prev[i] = bids(i, mu0 + (t[i] - 1) * dmu)
-        down = ~moved & (t > 0) & (_sum(prev) <= budget)
-        while down.any():
-            i = np.flatnonzero(down)
-            cur[i], t[i], moves = prev[i], t[i] - 1, moves + i.size
-            j = i[t[i] > 0]
-            prev[j] = bids(j, mu0 + (t[j] - 1) * dmu)
-            down[i] = (t[i] > 0) & (_sum(prev[i]) <= budget[i])
-        e_fin = np.zeros((tr.size, n))
-        i = np.flatnonzero(t > 0)
-        e_fin[i] = _prr(budget[i], cur[i], prev[i])
+        # the ladder close, its first pass the rounds either side of nu
+        t = np.ceil(np.maximum((nu - mu0) / dmu, 0.0)).astype(np.int64)
+        close, e_fin, _, _ = ladder_close(p_pb, [v[tr] for v in (x, alpha, lam_w)], cfg,
+                                          budget, t_top[tr], np.stack([t - 1, t], axis=1))
         # from here on (budget, trial, pair) arrays, broadcast against the trials'
         shape = (len(budgets), n_t)
         e_star, e_fin, budget = (v.reshape(shape + v.shape[1:]) for v in (e_star, e_fin, budget))
@@ -290,7 +338,8 @@ def solve_lanes(params, channels, deriveds, budgets, cfg) -> Lanes:
         gap = np.abs(_sum(e_star) - budget) / np.where(budget > 0.0, budget, 1.0)
     log.debug(
         "lanes: n=%d slack=%d cap=%d binds=%d ulp=%d rf_steps=%d newton_iters=%d "
-        "ladder_moves=%d budget_residual=%.3g", tr.size, slack.sum(), cap.sum(), n_binds,
-        n_ulp, rf_steps, stats["newton"], moves, gap[~slack.reshape(shape)].max(initial=0.0))
+        "ladder_misses=%d budget_residual=%.3g", tr.size, slack.sum(), cap.sum(), n_binds,
+        n_ulp, rf_steps, stats["newton"], (close != t).sum(),
+        gap[~slack.reshape(shape)].max(initial=0.0))
     return Lanes(nu.reshape(shape), e_star, tau_star, w_star, e_fin, tau_fin,
-                 (t == 0).reshape(shape), (t + 1).reshape(shape), w_fin)
+                 (close == 0).reshape(shape), (close + 1).reshape(shape), w_fin)

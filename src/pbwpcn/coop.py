@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .batch import _alpha_groups, _demand
+from .batch import _alpha_groups, _demand, _prr, columns
 from .errors import ConvergenceError, DomainError
 from .model import LN2, PairChannel, SystemParams, social_welfare
 from .roots import lambert_w0, solve_z
@@ -149,43 +149,13 @@ def pooled_bids(params: SystemParams, deriveds, stats):
     ``gamma`` below it from a cold root, so a bid depends on its pair and
     the price alone.  ``stats["newton"]`` keeps the worst Newton count.
     """
-    x, alpha, lam_w = (np.array([getattr(d, f) for d in deriveds])
-                       for f in ("x_const", "alpha", "lam_w"))
+    x, alpha, lam_w = (c[0] for c in columns([deriveds]))
 
     def bids_at(price):
         with np.errstate(all="ignore"):
             return _demand(params.p_pb, x, alpha, lam_w, price, stats).tolist()
 
     return bids_at
-
-
-def final_clinch_prr(e_b_tot: float, bids_last, bids_prev) -> list[float]:
-    """Split a budget between two demand vectors that straddle it.
-
-    Proportional rationing: each bidder keeps its ``bids_last`` bid plus a
-    share of the residual supply, proportional to how much it reduced its
-    bid from ``bids_prev``.  It closes the clinching auction and the price
-    search's last ulp.
-    """
-    if len(bids_last) != len(bids_prev):
-        raise DomainError("bid vectors must have equal length")
-    sum_last = math.fsum(bids_last)
-    sum_prev = math.fsum(bids_prev)
-    if not (sum_last <= e_b_tot < sum_prev):
-        raise DomainError(
-            f"supply not crossed: sum_last={sum_last}, sum_prev={sum_prev}, "
-            f"budget={e_b_tot}"
-        )
-    if any(bl > bp * (1.0 + 1e-12) + 1e-300 for bl, bp in zip(bids_last, bids_prev)):
-        raise DomainError("bids must be elementwise nonincreasing between rounds")
-    residual = e_b_tot - sum_last
-    if residual == 0.0:
-        return list(bids_last)
-    reduction = sum_prev - sum_last
-    return [
-        bl + (bp - bl) / reduction * residual
-        for bl, bp in zip(bids_last, bids_prev)
-    ]
 
 
 @dataclass(frozen=True)
@@ -308,7 +278,9 @@ def _regula_falsi(a, a_bids, b, b_bids, f_b, e_b_tot, announce):
         if not a < nu < b:
             nu = 0.5 * (a + b)
             if not a < nu < b:
-                return b, final_clinch_prr(e_b_tot, b_bids, a_bids), "ulp", (b - a) / b
+                split = _prr(e_b_tot, np.array(b_bids), np.array(a_bids),
+                             math.fsum(b_bids), math.fsum(a_bids))
+                return b, split.tolist(), "ulp", (b - a) / b
         bids = announce(nu)
         f = math.fsum(bids) - e_b_tot
         if abs(f) <= 1e-12 * e_b_tot:

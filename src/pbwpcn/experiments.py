@@ -83,8 +83,8 @@ class ExperimentConfig:
             raise DomainError("trials, antennas_m and n_pairs must be >= 1")
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
-        if any(not 0.0 <= e < math.inf for e in self.e_b_tot_grid):
-            raise DomainError("e_b_tot_grid entries must be nonnegative and finite")
+        if not self.e_b_tot_grid or any(not 0.0 <= e < math.inf for e in self.e_b_tot_grid):
+            raise DomainError("e_b_tot_grid must be non-empty, its entries nonnegative and finite")
 
     @property
     def auction_config(self) -> AuctionConfig:

@@ -14,13 +14,12 @@ from pbwpcn import (
     best_response,
     cumulative_clinch,
     derive_pair,
-    final_clinch_prr,
     payment,
     run_auction,
     throughput,
     waterfill,
 )
-from pbwpcn import auction, coop
+from pbwpcn import auction, batch, coop
 from pbwpcn.auction import MAX_LADDER_ROUNDS
 from pbwpcn.batch import ladder_rows
 
@@ -172,15 +171,23 @@ class TestCumulativeClinch:
                         assert [repr(c) for c in got] == ["0.0"] * n
 
 
+def prr(budget, last, prev):
+    """``batch._prr`` of one row, its totals summed exactly."""
+    got = batch._prr(budget, np.array(last), np.array(prev), math.fsum(last), math.fsum(prev))
+    return got.tolist()
+
+
 class TestFinalClinchPrr:
+    """The final clinch's proportional-rationing split, ``batch._prr``."""
+
     def test_hand_example(self):
         # reductions (0.2, 0.4): residual 0.3 splits 0.1 / 0.2
-        got = final_clinch_prr(0.9, [0.4, 0.2], [0.6, 0.6])
+        got = prr(0.9, [0.4, 0.2], [0.6, 0.6])
         assert got == pytest.approx([0.5, 0.4])
         assert math.fsum(got) == pytest.approx(0.9, abs=1e-15)
 
     def test_exact_clearing_keeps_bids(self):
-        got = final_clinch_prr(0.7, [0.4, 0.3], [0.5, 0.5])
+        got = prr(0.7, [0.4, 0.3], [0.5, 0.5])
         assert got == [0.4, 0.3]
 
     def test_sums_to_budget(self):
@@ -189,18 +196,16 @@ class TestFinalClinchPrr:
             prev = rng.uniform(0.2, 1.0, size=4)
             last = prev * rng.uniform(0.3, 0.95, size=4)
             budget = float(rng.uniform(last.sum(), prev.sum() - 1e-9))
-            got = final_clinch_prr(budget, list(last), list(prev))
+            got = prr(budget, list(last), list(prev))
             assert math.fsum(got) == pytest.approx(budget, abs=1e-12)
             for g, bl, bp in zip(got, last, prev):
                 assert bl - 1e-12 <= g <= bp + 1e-12
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            final_clinch_prr(2.0, [0.4, 0.2], [0.6, 0.6])  # supply never crossed
+            prr(2.0, [0.4, 0.2], [0.6, 0.6])  # supply never crossed
         with pytest.raises(DomainError):
-            final_clinch_prr(0.9, [0.7, 0.2], [0.6, 0.6])  # bid increased
-        with pytest.raises(DomainError):
-            final_clinch_prr(0.9, [0.4], [0.6, 0.6])
+            prr(0.9, [0.7, 0.2], [0.6, 0.6])  # bid increased
 
 
 class TestPayment:
@@ -444,21 +449,21 @@ class TestAuctionAllocation:
         assert math.fsum(e_fin) == pytest.approx(params.e_b_tot, abs=1e-12)
 
     def test_no_price_evaluated_twice(self, paper, monkeypatch):
-        # the search reads each ladder round at most once, through ladder_rows
+        # the search reads each ladder round at most once, through lane_rows
         # as the walk does, and never runs the water-filling price search
         def forbidden(*args, **kwargs):
             raise AssertionError("the fast path must not run the price search")
 
-        original_rows = auction.ladder_rows
+        original_rows = batch.lane_rows
         calls = []
 
-        def recording_rows(params, deriveds, cfg, rounds):
-            calls.append(list(rounds))
-            return original_rows(params, deriveds, cfg, rounds)
+        def recording_rows(p_pb, cols, cfg, rounds):
+            calls.append([int(t) for t in rounds])
+            return original_rows(p_pb, cols, cfg, rounds)
 
         monkeypatch.setattr(coop, "price_search", forbidden)
         monkeypatch.setattr(coop, "pooled_bids", forbidden)
-        monkeypatch.setattr(auction, "ladder_rows", recording_rows)
+        monkeypatch.setattr(batch, "lane_rows", recording_rows)
         assert not hasattr(auction, "price_search") and not hasattr(auction, "pooled_bids")
         rng = np.random.default_rng(22)
         params, channels = paper

@@ -20,7 +20,7 @@ from pbwpcn import (
     waterfill,
 )
 from pbwpcn.auction import MAX_LADDER_ROUNDS
-from pbwpcn.batch import ladder_rows, ladder_top, solve_lanes
+from pbwpcn.batch import columns, ladder_close, ladder_rows, ladder_top, solve_lanes
 from pbwpcn.coop import derive_pairs
 from pbwpcn.errors import DomainError
 from pbwpcn.experiments import _FIG4_BUDGETS, load_paper_instance, table_params
@@ -115,12 +115,13 @@ class TestAgainstScalar:
 
     def test_walk_steps_on_a_fine_ladder(self, caplog, paper):
         # at a step far below the search's tolerance the first rung at or
-        # above nu is off by whole steps, which the walk corrects
+        # above nu is off by whole steps: the close searches on past the
+        # rounds either side of nu, to the walk's close
         caplog.set_level(logging.DEBUG, logger="pbwpcn")
         params, channels = paper
-        budgets = [0.3, 0.7, 1.0, 1.9, 2.2]  # 0.3 and 0.7 step down, 1.9 up
+        budgets = [0.3, 0.7, 1.0, 1.9, 2.2]  # 0.3 and 0.7 close below, 1.9 above
         solve_and_compare(params, [channels], budgets, AuctionConfig(step=1e-14))
-        assert int(kernel_line(caplog)["ladder_moves"]) > 0
+        assert int(kernel_line(caplog)["ladder_misses"]) > 0
 
     def test_logs_one_line_per_call(self, caplog, paper):
         caplog.set_level(logging.DEBUG, logger="pbwpcn")
@@ -129,7 +130,7 @@ class TestAgainstScalar:
                     AuctionConfig())
         fields = kernel_line(caplog)
         assert list(fields) == ["n", "slack", "cap", "binds", "ulp", "rf_steps",
-                                "newton_iters", "ladder_moves", "budget_residual"]
+                                "newton_iters", "ladder_misses", "budget_residual"]
         assert fields["n"] == "18"
         assert sum(int(fields[r]) for r in ("slack", "cap", "binds", "ulp")) == 18
         assert int(fields["rf_steps"]) > 0 and int(fields["newton_iters"]) > 0
@@ -199,6 +200,35 @@ def test_fast_path_equals_the_lanes_where_the_walk_cannot_run(paper, step):
         assert lanes.tau_final[0, 0].tolist() == list(tau_fin)
         assert lanes.pb_quit[0, 0] == quit_
         assert lanes.rounds_used[0, 0] == rounds
+
+
+@pytest.mark.parametrize("step", [1e-2, 1e-9])
+def test_the_first_pass_is_only_a_hint(paper, step):
+    # whatever rounds the first pass prices, each lane closes at the same
+    # round with the same rows and split: good rounds only save passes
+    cfg = AuctionConfig(step=step)
+    rng = np.random.default_rng(59)
+    instances = [paper] + [random_instance(rng, int(rng.integers(2, 6)))[:2] for _ in range(4)]
+    for params, channels in instances:
+        ds = derive_pairs(params, channels)
+        top = ladder_top(ds, cfg)
+        budgets = params.e_b_tot * np.array([0.0, 0.3, 1.0, 1.7, 1e9])
+        cols = [np.repeat(c, budgets.size, axis=0) for c in columns([ds])]
+        tops = np.full(budgets.size, top)
+        expected = ladder_close(params.p_pb, cols, cfg, budgets, tops)
+        t = expected[0][:, None]
+        assert t[0] == top and 0 < t[1] < top and t[-1] == 0
+        firsts = {
+            "hit": [t - 1, t],
+            "miss below": [t // 2, t - 2],
+            "miss above": [t + 1, (t + top) // 2],
+            "repeated": [t, t - 1, t, t - 1, t - 1],
+        }
+        for name, first in firsts.items():
+            first = np.clip(np.hstack(first), -1, top)
+            got = ladder_close(params.p_pb, cols, cfg, budgets, tops, first)
+            for a, b in zip(got, expected):
+                assert a.tobytes() == b.tobytes(), name
 
 
 @pytest.mark.parametrize("weight, step", [(10.0, 1e-300), (1e300, 0.01)],

@@ -266,6 +266,8 @@ class TestConfigErrors:
             ('{"d_pb_src": -10, "pathloss_zeta": 2.5}', "d_pb_src"),
             ('{"d_ap_src": NaN}', "d_ap_src"),
             ('{"e_b_tot_grid": [NaN]}', "e_b_tot_grid"),
+            # an empty grid would write figure CSVs of headers alone
+            ('{"e_b_tot_grid": []}', "e_b_tot_grid"),
             ('{"trials": true}', "trials"),
             # finite path losses whose pairs' x_const is not below 1e30
             ('{"d_ap_src": 1e-150}', "x_const"),
