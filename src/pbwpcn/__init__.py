@@ -32,6 +32,7 @@ from .experiments import (
     ExperimentConfig,
     SweepRecord,
     draw_channels,
+    draw_trials,
     load_paper_instance,
     sweep,
 )

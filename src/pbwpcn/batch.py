@@ -236,14 +236,18 @@ def solve_lanes(params, channels, deriveds, budgets, cfg) -> Lanes:
     x, z_dag, alpha, e_lim, lam_w = columns(
         deriveds, ("x_const", "z_dag", "alpha", "e_lim", "lam_w"))
     # the price search's levels: 0, then each group's cap ascending, then +inf padding
-    prices = np.hstack([np.zeros((n_t, 1)), np.full((n_t, n), np.inf)])
-    lim_sum = np.ones((n_t, n + 1))
-    level = np.zeros((n_t, n), dtype=int)  # each pair's group level; 0 when alpha = 0
-    for t, ds in enumerate(deriveds):
-        for m, group in enumerate(_alpha_groups(alpha[t].tolist())[::-1], 1):
-            prices[t, m] = ds[group[0]].alpha
-            level[t, group] = m
-            lim_sum[t, m] = math.fsum(ds[i].e_lim for i in group)
+    prices, lim_sum, level = [], [], []  # level: each pair's group level; 0 when alpha = 0
+    for ds in deriveds:
+        groups = _alpha_groups([d.alpha for d in ds])[::-1]
+        prices.append([0.0] + [ds[g[0]].alpha for g in groups] + [math.inf] * (n - len(groups)))
+        lim_sum.append([1.0] + [math.fsum(ds[i].e_lim for i in g) for g in groups]
+                       + [1.0] * (n - len(groups)))
+        levels = [0] * n
+        for m, group in enumerate(groups, 1):
+            for i in group:
+                levels[i] = m
+        level.append(levels)
+    prices, lim_sum, level = np.array(prices), np.array(lim_sum), np.array(level)
     stats = {"newton": 0}
     with np.errstate(all="ignore"):
         tr = np.tile(np.arange(n_t), len(budgets))
@@ -290,8 +294,9 @@ def solve_lanes(params, channels, deriveds, budgets, cfg) -> Lanes:
             ulp = ~((a < mu) & (mu < b))  # no double inside: split the last ulp
             mu[ulp] = b[ulp]
             got = np.empty_like(a_bids)
-            got[ulp] = _prr(bud[ulp], b_bids[ulp], a_bids[ulp],
-                            _row_sums(b_bids[ulp]), _row_sums(a_bids[ulp]))
+            if ulp.any():
+                got[ulp] = _prr(bud[ulp], b_bids[ulp], a_bids[ulp],
+                                _row_sums(b_bids[ulp]), _row_sums(a_bids[ulp]))
             got[~ulp] = bids(i[~ulp], mu[~ulp])
             f = _sum(got) - bud
             done = ulp | (np.abs(f) <= 1e-12 * bud)
@@ -306,8 +311,9 @@ def solve_lanes(params, channels, deriveds, budgets, cfg) -> Lanes:
             a_bids = np.where(pos[:, None], got, a_bids)
             b_bids = np.where(pos[:, None], b_bids, got)
             kept = np.where(pos, 1, 2)
-            i, a, b, bud, f_a, f_b, kept, a_bids, b_bids = (
-                v[~done] for v in (i, a, b, bud, f_a, f_b, kept, a_bids, b_bids))
+            if done.any():
+                i, a, b, bud, f_a, f_b, kept, a_bids, b_bids = (
+                    v[~done] for v in (i, a, b, bud, f_a, f_b, kept, a_bids, b_bids))
         # the ladder close, its first pass the rounds either side of nu
         t = np.ceil(np.maximum((nu - mu0) / dmu, 0.0)).astype(np.int64)
         close, e_fin, _, _ = ladder_close(p_pb, [v[tr] for v in (x, alpha, lam_w)], cfg,

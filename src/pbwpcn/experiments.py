@@ -2,13 +2,18 @@
 
 Channels are quasi-static flat Rayleigh with a distance path-loss of
 1e-3 * d^-zeta (30 dB attenuation at 1 m).  Draws use counter-based Philox
-substreams keyed by (seed, trial, pair), so results are reproducible and
-adding trials or pairs never reshuffles earlier draws.
+substreams keyed by (seed, trial, pair) (Salmon et al., SC 2011), so results
+are reproducible and adding trials or pairs never reshuffles earlier draws.
+``draw_trials`` derives the keys of all its (trial, pair) streams at once,
+equal to ``SeedSequence((seed, trial, pair)).generate_state(2, np.uint64)``
+word for word, and re-keys one ``Philox`` for each stream; ``draw_channels``
+is its one-trial view.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 import tempfile
 from dataclasses import dataclass
@@ -96,21 +101,130 @@ def pathloss(distance: float, zeta: float) -> float:
     return 1e-3 * distance ** (-zeta)
 
 
-def draw_channels(cfg: ExperimentConfig, trial: int) -> list[PairChannel]:
-    """One Rayleigh-fading realization for all pairs of a trial."""
+# NumPy's SeedSequence (after M. E. O'Neill's seed_seq_fe), pool size 4, in
+# uint32 arrays that wrap mod 2**32 as its words do: the hash multipliers,
+# their starting values and the mix multipliers
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+# (0-d arrays: NumPy dispatches a uint32 array op on them faster than on scalars)
+_MIX_L, _MIX_R, _SHIFT = (np.array(c, dtype=np.uint32) for c in (0xCA01F9DD, 0x4973F715, 16))
+
+
+def _hash_consts(init, mult, first, n):
+    """The hash constant before and after calls ``first .. first + n - 1`` of a
+    hash that starts at ``init`` and multiplies by ``mult`` per call, as
+    (2, n, 1) columns against (word, row) arrays."""
+    return np.array([[[init * pow(mult, j + k, 1 << 32) & _MASK32]
+                      for j in range(first, first + n)] for k in (0, 1)], dtype=np.uint32)
+
+
+def _cross_consts(src):
+    """Calls 4 + 3 * src onwards: pool word ``src`` hashed for each other pool
+    word in turn; word ``src``'s own entry is unused."""
+    consts = np.zeros((2, 4, 1), dtype=np.uint32)
+    consts[:, np.arange(4) != src] = _hash_consts(_INIT_A, _MULT_A, 4 + 3 * src, 3)
+    return consts
+
+
+# calls 0-3 hash the entropy into the pool and calls 4-15 cross-mix its
+# words; ``generate_state`` hashes the pool again, with the second hash
+_POOL_HASH = _hash_consts(_INIT_A, _MULT_A, 0, 4)
+_CROSS_HASH = [_cross_consts(src) for src in range(4)]
+_STATE_HASH = _hash_consts(_INIT_B, _MULT_B, 0, 4)
+
+
+def _hashmix(v, consts):
+    """SeedSequence's ``hashmix`` of the uint32 array ``v``, broadcast
+    against the hash constants ``consts``."""
+    v = v ^ consts[0]
+    v *= consts[1]
+    v ^= v >> _SHIFT
+    return v
+
+
+def _mix(x, y):
+    """SeedSequence's ``mix(x, y)``; consumes ``y``."""
+    x = x * _MIX_L
+    y *= _MIX_R
+    x -= y
+    x ^= x >> _SHIFT
+    return x
+
+
+def _seed_keys(entropy):
+    """Column i: the two Philox key words ``SeedSequence`` makes of the uint32
+    entropy words ``entropy[:, i]``, zero-padded to at least 4 words (as
+    SeedSequence pads its pool), as (columns, 2) uint64."""
+    pool = _hashmix(entropy[:4], _POOL_HASH)
+    for src, consts in enumerate(_CROSS_HASH):
+        # one pool word's three cross-mixes at once; the word itself stays
+        mixed = _mix(pool, _hashmix(pool[src], consts))
+        mixed[src] = pool[src]
+        pool = mixed
+    for src in range(4, len(entropy)):  # words past the pool mix into every pool word
+        pool = _mix(pool, _hashmix(entropy[src], _hash_consts(_INIT_A, _MULT_A, 4 * src, 4)))
+    # the state's uint32 words read as little-endian uint64 pairs
+    return np.ascontiguousarray(_hashmix(pool, _STATE_HASH).T, dtype="<u4").view("<u8")
+
+
+def _words(n):
+    """The nonnegative int ``n`` in 32-bit words, low first, as SeedSequence
+    splits an entropy int."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _philox_keys(seed, trials, n_pairs):
+    """Key of stream (trial, pair) for each of ``trials`` and each pair below
+    ``n_pairs``: ``SeedSequence((seed, trial, pair)).generate_state(2,
+    np.uint64)``, as a (trials, pairs, 2) uint64 array."""
+    seed_words, pair_words = _words(seed), [_words(p) for p in range(n_pairs)]
+    rows = [seed_words + _words(t) + p for t in trials for p in pair_words]
+    keys = np.empty((len(rows), 2), dtype=np.uint64)
+    # seeds and trials from 2**32 up take more words: each entropy length apart
+    for length in {len(r) for r in rows}:
+        idx = [i for i, r in enumerate(rows) if len(r) == length]
+        entropy = np.zeros((max(length, 4), len(idx)), dtype=np.uint32)
+        entropy[:length] = np.array([rows[i] for i in idx], dtype=np.uint32).T
+        keys[idx] = _seed_keys(entropy)
+    return keys.reshape(len(trials), n_pairs, 2)
+
+
+def draw_trials(cfg: ExperimentConfig, trials) -> list[list[PairChannel]]:
+    """One Rayleigh-fading realization for all pairs of each of ``trials``,
+    nonnegative trial indices; trial t's pairs draw the same bits in any
+    batch."""
+    trials = [operator.index(t) for t in trials]
+    if any(t < 0 for t in trials):
+        raise DomainError(f"trial indices must be >= 0, got {min(trials)}")
     l_ap = pathloss(cfg.d_ap_src, cfg.pathloss_zeta)
     l_pb = pathloss(cfg.d_pb_src, cfg.pathloss_zeta)
-    channels = []
-    for pair in range(cfg.n_pairs):
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence((cfg.seed, trial, pair)))
-        )
-        h = rng.standard_normal(2)
-        g = l_ap * 0.5 * float(h @ h)
-        hk = rng.standard_normal(2 * cfg.antennas_m)
-        k = l_pb * 0.5 * float(hk @ hk)
-        channels.append(PairChannel(g_pow=g, k_pow=k))
-    return channels
+    bitgen = np.random.Philox(key=0)
+    rng = np.random.Generator(bitgen)
+    # each stream from its start: counter 0 and an empty output buffer
+    state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": None},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    draws = []
+    for trial_keys in _philox_keys(cfg.seed, trials, cfg.n_pairs).tolist():
+        channels = []
+        for key in trial_keys:
+            state["state"]["key"] = key
+            bitgen.state = state
+            h = rng.standard_normal(2)
+            g = l_ap * 0.5 * float(h @ h)
+            hk = rng.standard_normal(2 * cfg.antennas_m)
+            k = l_pb * 0.5 * float(hk @ hk)
+            channels.append(PairChannel(g_pow=g, k_pow=k))
+        draws.append(channels)
+    return draws
+
+
+def draw_channels(cfg: ExperimentConfig, trial: int) -> list[PairChannel]:
+    """One Rayleigh-fading realization for all pairs of a trial: the one-trial
+    view of ``draw_trials``."""
+    return draw_trials(cfg, (trial,))[0]
 
 
 @dataclass
@@ -136,7 +250,7 @@ def sweep(cfg: ExperimentConfig) -> list[SweepRecord]:
     """Monte Carlo means over the budget grid; writes CSVs when configured."""
     base = table_params(n_pairs=cfg.n_pairs)
     # derived constants do not depend on the budget: one table per trial
-    all_channels = [draw_channels(cfg, t) for t in range(cfg.trials)]
+    all_channels = draw_trials(cfg, range(cfg.trials))
     deriveds = [derive_pairs(base, channels) for channels in all_channels]
     welfare_nopb = fmean([_nopb_welfare(base, *trial) for trial in zip(all_channels, deriveds)])
     # every (trial, budget) in one batch; payments cancel between bidders and

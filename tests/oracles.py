@@ -16,6 +16,7 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, minimize
 
 from pbwpcn import PairChannel, SystemParams, derive_pair, gamma
+from pbwpcn.experiments import pathloss
 
 LN2 = math.log(2.0)
 
@@ -82,6 +83,25 @@ def demand_oracle(params, ch, d):
         return 0.0 if nu >= d.alpha else gamma(params, ch, d, nu)
 
     return bid
+
+
+def draw_channels_reference(cfg, trial):
+    """One trial's channels, each pair from a fresh ``Philox`` seeded by
+    ``SeedSequence((seed, trial, pair))``: the reference for ``draw_trials``,
+    which derives the same keys in arrays."""
+    l_ap = pathloss(cfg.d_ap_src, cfg.pathloss_zeta)
+    l_pb = pathloss(cfg.d_pb_src, cfg.pathloss_zeta)
+    channels = []
+    for pair in range(cfg.n_pairs):
+        rng = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence((cfg.seed, trial, pair)))
+        )
+        h = rng.standard_normal(2)
+        g = l_ap * 0.5 * float(h @ h)
+        hk = rng.standard_normal(2 * cfg.antennas_m)
+        k = l_pb * 0.5 * float(hk @ hk)
+        channels.append(PairChannel(g_pow=g, k_pow=k))
+    return channels
 
 
 def mp_z_minus_1(x_target, y_coef):

@@ -15,6 +15,7 @@ from pbwpcn import (
     auction_allocation,
     derive_pair,
     draw_channels,
+    draw_trials,
     sweep,
     throughput,
     waterfill,
@@ -182,6 +183,39 @@ def test_auction_lanes_equal_auction_allocation(n_pairs):
             assert lanes.tau_final[k, t].tolist() == list(tau_fin), (budget, t)
             assert lanes.pb_quit[k, t] == quit_
             assert lanes.rounds_used[k, t] == rounds
+
+
+def test_coop_lanes_equal_waterfill():
+    # the lanes take waterfill's decisions, so every cooperative lane has the
+    # scalar solve's bits: sweep lanes, and random instances whose pairs are
+    # clones of a few, so that caps tie, at budgets from 0 to past every
+    # pair's optimum
+    cases = []
+    for n_pairs in (3, 8, 20):
+        cfg = ExperimentConfig(n_pairs=n_pairs, trials=25, seed=n_pairs)
+        cases.append((table_params(n_pairs=n_pairs), draw_trials(cfg, range(cfg.trials)),
+                      cfg.e_b_tot_grid))
+    rng = np.random.default_rng(29)
+    for _ in range(50):
+        n_pairs = int(rng.integers(2, 31))
+        _, originals, _ = random_instance(rng, int(rng.integers(1, n_pairs)))
+        channels = [originals[i] for i in rng.integers(0, len(originals), size=n_pairs)]
+        params = table_params(n_pairs=n_pairs)
+        e_opt_sum = math.fsum(d.e_opt for d in derive_pairs(params, channels))
+        cases.append((params, [channels], (np.linspace(0.0, 1.2, 9) * e_opt_sum).tolist()))
+    n_lanes = 0
+    for params, trials, budgets in cases:
+        lanes = solve_lanes(params, trials, [derive_pairs(params, ch) for ch in trials],
+                            budgets, AuctionConfig())
+        for k, budget in enumerate(budgets):
+            p = dataclasses.replace(params, e_b_tot=budget)
+            for t, channels in enumerate(trials):
+                coop = waterfill(p, channels)
+                assert lanes.nu[k, t] == coop.nu, (budget, t)
+                assert lanes.e_star[k, t].tolist() == list(coop.e_star), (budget, t)
+                assert lanes.tau_star[k, t].tolist() == list(coop.tau_star), (budget, t)
+                n_lanes += 1
+    assert n_lanes >= 1000
 
 
 @pytest.mark.parametrize("step", [1e-9, 1e-12, 1e-14])

@@ -14,6 +14,7 @@ from pbwpcn import (
     auction_allocation,
     derive_pair,
     draw_channels,
+    draw_trials,
     load_paper_instance,
     sweep,
     tau_of_e,
@@ -21,11 +22,13 @@ from pbwpcn import (
     waterfill,
 )
 from pbwpcn.experiments import (
+    _philox_keys,
     pathloss,
     table_params,
     write_instance_csvs,
     write_sweep_csvs,
 )
+from oracles import draw_channels_reference
 
 
 class TestConfig:
@@ -84,14 +87,48 @@ class TestDrawChannels:
     def test_mean_gains_match_pathloss(self):
         # unit-mean fading: E[G] = L, E[K] = M * L
         cfg = ExperimentConfig(n_pairs=1, seed=11)
-        gs, ks = [], []
-        for t in range(100_000):
-            ch = draw_channels(cfg, t)[0]
-            gs.append(ch.g_pow)
-            ks.append(ch.k_pow)
+        draws = draw_trials(cfg, range(100_000))
+        gs = [channels[0].g_pow for channels in draws]
+        ks = [channels[0].k_pow for channels in draws]
         l_ref = pathloss(10.0, 2.0)
         assert np.mean(gs) == pytest.approx(l_ref, rel=0.02)
         assert np.mean(ks) == pytest.approx(cfg.antennas_m * l_ref, rel=0.02)
+
+
+    def test_negative_trial_rejected(self):
+        cfg = ExperimentConfig(seed=7)
+        with pytest.raises(DomainError, match="trial"):
+            draw_channels(cfg, -1)
+        with pytest.raises(DomainError, match="trial"):
+            draw_trials(cfg, [0, -1])
+
+
+# seeds of one and of several 32-bit words, trial ranges of one word, across
+# 2**32 and across 2**64, so that the entropy of a batch varies in length
+SEEDS = [0, 7919, 2**32 - 1, 2**32, 2**64 + 5]
+TRIAL_RANGES = [range(0, 4), range(2**32 - 2, 2**32 + 2), range(2**64 - 1, 2**64 + 1)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_keys_match_seed_sequence(seed):
+    for trials in TRIAL_RANGES:
+        keys = _philox_keys(seed, list(trials), 8)
+        for i, trial in enumerate(trials):
+            for pair in range(8):
+                expected = np.random.SeedSequence((seed, trial, pair)).generate_state(2, np.uint64)
+                assert keys[i, pair].tolist() == expected.tolist(), (trial, pair)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_draw_trials_match_the_reference(seed):
+    # every n_pairs and antennas_m from 1 to 8, in one batch and in any other
+    for n_pairs in range(1, 9):
+        cfg = ExperimentConfig(seed=seed, n_pairs=n_pairs, antennas_m=9 - n_pairs)
+        for trials in TRIAL_RANGES[:2]:
+            expected = [draw_channels_reference(cfg, t) for t in trials]
+            assert draw_trials(cfg, trials) == expected
+            assert [draw_channels(cfg, t) for t in trials] == expected
+            assert draw_trials(cfg, list(trials)[::-1]) == expected[::-1]
 
 
 class TestPaperInstance:
