@@ -17,9 +17,9 @@ from itertools import chain, pairwise
 
 import numpy as np
 
-from .batch import LADDER_BLOCK, _prr, _row_sums, columns, ladder_close, ladder_rows, ladder_top
+from .batch import LADDER_BLOCK, _prr, columns, ladder_close, ladder_rows, ladder_top
 from .errors import DomainError
-from .model import PairChannel, SystemParams, throughput
+from .model import PairChannel, SystemParams, _row_sums, charging_times, rates
 from .coop import PairDerived, RoundLog, derive_pairs, gamma, tau_of_e
 
 
@@ -221,18 +221,14 @@ def run_auction(params: SystemParams, channels, cfg: AuctionConfig) -> AuctionOu
         e_final = _prr(budget, bids, prev_bids, total, prev_total).tolist()
         clinched.extend(e_final)
         pay = _payments(prices, clinched, n, t if start is None else start)
-    tau_final = tuple(
-        tau_of_e(params, ch, d, e) for ch, d, e in zip(channels, deriveds, e_final)
-    )
-    ap_util = tuple(
-        w * throughput(params, ch, tf, e) - p
-        for w, ch, tf, e, p in zip(params.weights, channels, tau_final, e_final, pay)
-    )
+    g, k = columns([channels], ("g_pow", "k_pow"))
+    [tau_final] = charging_times(params, g, k, *columns([deriveds], ("z_dag", "e_lim")), e_final)
+    ap_util = params.weights * rates(params, g[0], k[0], tau_final, e_final) - pay
     return AuctionOutcome(
         e_final=tuple(e_final),
-        tau_final=tau_final,
+        tau_final=tuple(tau_final.tolist()),
         payment=tuple(pay),
-        ap_utility=ap_util,
+        ap_utility=tuple(ap_util.tolist()),
         pb_utility=math.fsum(pay),
         rounds_used=len(prices),
         pb_quit=t == 0,
@@ -250,9 +246,7 @@ def auction_allocation(params: SystemParams, channels, cfg: AuctionConfig):
     deriveds = derive_pairs(params, channels)
     [t], [e_final], _, _ = ladder_close(params.p_pb, columns([deriveds]), cfg,
                                         [params.e_b_tot], [ladder_top(deriveds, cfg)])
-    e_final, t = tuple(e_final.tolist()), int(t)
-    tau_final = tuple(
-        tau_of_e(params, ch, d, e) for ch, d, e in zip(channels, deriveds, e_final)
-    )
+    g, k = columns([channels], ("g_pow", "k_pow"))
+    [tau_final] = charging_times(params, g, k, *columns([deriveds], ("z_dag", "e_lim")), e_final)
     # t == 0: demand never exceeds supply at the reserve price, no trade
-    return e_final, tau_final, t == 0, t + 1
+    return tuple(e_final.tolist()), tuple(tau_final.tolist()), int(t) == 0, int(t) + 1

@@ -18,7 +18,7 @@ import numpy as np
 
 from .batch import _alpha_groups, _demand, _prr, columns
 from .errors import ConvergenceError, DomainError
-from .model import LN2, PairChannel, SystemParams, social_welfare
+from .model import LN2, PairChannel, SystemParams, charging_times, welfares
 from .roots import lambert_w0, solve_z
 
 log = logging.getLogger("pbwpcn")
@@ -77,16 +77,8 @@ def derive_pairs(params: SystemParams, channels) -> list[PairDerived]:
 
 
 def tau_of_e(params: SystemParams, ch: PairChannel, d: PairDerived, e_pb: float) -> float:
-    """Optimal AP charging time for a given beacon energy allotment."""
-    if not 0.0 <= e_pb < params.p_pb:
-        raise DomainError(f"e_pb must lie in [0, p_pb), got {e_pb}")
-    if e_pb <= d.e_lim:
-        sig = params.noise_w
-        num = (d.z_dag - 1.0) * sig - ch.g_pow * params.eta * e_pb * ch.k_pow
-        den = (d.z_dag - 1.0) * sig + ch.g_pow * ch.g_pow * params.eta * params.p_ap
-        # equal at the knee, where num / den may round an ulp below e_pb / p_pb
-        return max(num / den, e_pb / params.p_pb)
-    return e_pb / params.p_pb
+    """Optimal AP charging time for a beacon energy allotment: ``charging_times`` of one pair."""
+    return charging_times(params, ch.g_pow, ch.k_pow, d.z_dag, d.e_lim, e_pb).item()
 
 
 def s_of_e(params: SystemParams, ch: PairChannel, d: PairDerived, e_pb: float) -> float:
@@ -310,11 +302,10 @@ def pooled_waterfill(params: SystemParams, channels, deriveds) -> WaterfillResul
     stats, round_log = {"newton": 0}, RoundLog(len(deriveds), 1)
     bids_at = pooled_bids(params, deriveds, stats)
     nu, e_star, rounds = price_search(deriveds, params.e_b_tot, bids_at, round_log, stats)
-    tau_star = tuple(
-        tau_of_e(params, ch, d, e) for ch, d, e in zip(channels, deriveds, e_star)
-    )
-    welfare = social_welfare(params, channels, tau_star, e_star)
-    return WaterfillResult(nu, tuple(e_star), tau_star, welfare, rounds, round_log)
+    g, k = columns([channels], ("g_pow", "k_pow"))
+    [tau_star] = charging_times(params, g, k, *columns([deriveds], ("z_dag", "e_lim")), e_star)
+    welfare = welfares(params, g[0], k[0], tau_star, e_star, params.e_b_tot).item()
+    return WaterfillResult(nu, tuple(e_star), tuple(tau_star.tolist()), welfare, rounds, round_log)
 
 
 def waterfill(params: SystemParams, channels) -> WaterfillResult:

@@ -22,12 +22,10 @@ from statistics import fmean
 import numpy as np
 
 from .auction import AuctionConfig, run_auction
-from .batch import solve_lanes
-from .coop import (  # derive_pair stays bound here: perfbench's tests restore it
-    derive_pair, derive_pairs, tau_of_e, waterfill,
-)
+from .batch import columns, solve_lanes
+from .coop import derive_pair, derive_pairs, waterfill  # perfbench's tests restore derive_pair
 from .errors import DomainError
-from .model import PairChannel, SystemParams, social_welfare
+from .model import PairChannel, SystemParams, charging_times, welfares
 
 
 def table_params(e_b_tot: float = 1.0, n_pairs: int = 3) -> SystemParams:
@@ -240,26 +238,23 @@ class SweepRecord:
     trials: int
 
 
-def _nopb_welfare(params: SystemParams, channels, deriveds) -> float:
-    """Welfare when the beacon stays silent; it does not depend on the budget."""
-    taus = [tau_of_e(params, ch, d, 0.0) for ch, d in zip(channels, deriveds)]
-    return social_welfare(params, channels, taus, [0.0] * len(channels))
-
-
 def sweep(cfg: ExperimentConfig) -> list[SweepRecord]:
     """Monte Carlo means over the budget grid; writes CSVs when configured."""
     base = table_params(n_pairs=cfg.n_pairs)
     # derived constants do not depend on the budget: one table per trial
     all_channels = draw_trials(cfg, range(cfg.trials))
     deriveds = [derive_pairs(base, channels) for channels in all_channels]
-    welfare_nopb = fmean([_nopb_welfare(base, *trial) for trial in zip(all_channels, deriveds)])
+    # the welfare when the beacon stays silent does not depend on the budget
+    gains, silent = columns(all_channels, ("g_pow", "k_pow")), np.zeros((cfg.trials, cfg.n_pairs))
+    taus = charging_times(base, *gains, *columns(deriveds, ("z_dag", "e_lim")), silent)
+    welfare_nopb = fmean(welfares(base, *gains, taus, silent, base.e_b_tot).tolist())
     # every (trial, budget) in one batch; payments cancel between bidders and
     # the auctioneer, so the auction's welfare is its weighted sum-throughput
     lanes = solve_lanes(base, all_channels, deriveds, cfg.e_b_tot_grid, cfg.auction_config)
     # the lanes behind SweepRecord's means, in its field order
-    columns = ("e_star", "e_final", "tau_star", "tau_final", "welfare", "welfare_auction")
+    fields = ("e_star", "e_final", "tau_star", "tau_final", "welfare", "welfare_auction")
     records = [
-        SweepRecord(budget, *(fmean(getattr(lanes, c)[k].ravel().tolist()) for c in columns),
+        SweepRecord(budget, *(fmean(getattr(lanes, f)[k].ravel().tolist()) for f in fields),
                     welfare_nopb, cfg.trials)
         for k, budget in enumerate(cfg.e_b_tot_grid)
     ]

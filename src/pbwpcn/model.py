@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 
 LN2 = math.log(2.0)
@@ -76,40 +78,80 @@ class PairChannel:
             raise DomainError("k_pow must be nonnegative and finite")
 
 
-def throughput(params: SystemParams, ch: PairChannel, tau: float, e_pb: float) -> float:
-    """Achievable uplink rate in Mbps for one pair.
+def _row_sums(rows) -> list[float]:
+    """``math.fsum`` of each row of a 2-D array, read as one flat list: a
+    list per row would leave a block's worth of them in the free lists."""
+    flat, n = rows.ravel().tolist(), rows.shape[1]
+    return [math.fsum(flat[i:i + n]) for i in range(0, len(flat), n)]
 
-    The source spends fraction ``tau`` charging and the rest transmitting
-    with all harvested energy; ``e_pb`` is the beacon energy allotted to it.
-    """
-    if not 0.0 < tau < 1.0:
-        raise DomainError(f"tau must lie in (0, 1), got {tau}")
-    if e_pb < 0.0 or e_pb > tau * params.p_pb * (1.0 + 1e-12):
-        raise DomainError(f"e_pb must lie in [0, tau * p_pb], got {e_pb}")
-    harvested = params.eta * (tau * params.p_ap * ch.g_pow + e_pb * ch.k_pow)
-    snr = ch.g_pow * harvested / ((1.0 - tau) * params.noise_w)
+
+def _require(ok, message: str, *values) -> None:
+    """Raise ``DomainError(message)`` unless ``ok`` holds everywhere, filled
+    with each of ``values`` at the first entry where it fails."""
+    if not ok.all():
+        raise DomainError(message.format(*(np.broadcast_to(v, ok.shape)[~ok][0] for v in values)))
+
+
+def charging_times(params: SystemParams, g, k, z_dag, e_lim, e):
+    """Optimal AP charging time of each pair for its beacon energy ``e``, over
+    (..., pair) arrays of its gains and knee constants ``z_dag``, ``e_lim``."""
+    e = np.asarray(e, dtype=float)
+    _require((0.0 <= e) & (e < params.p_pb), "e_pb must lie in [0, p_pb), got {}", e)
+    zs, tau_pb = (z_dag - 1.0) * params.noise_w, e / params.p_pb
+    tau = (zs - g * params.eta * e * k) / (zs + g * g * params.eta * params.p_ap)
+    # equal at the knee, where the quotient may round an ulp below e_pb / p_pb
+    return np.where(e <= e_lim, np.maximum(tau, tau_pb), tau_pb)
+
+
+def _rates(params: SystemParams, g, k, tau, e):
+    harvested = params.eta * (tau * params.p_ap * g + e * k)
+    snr = g * harvested / ((1.0 - tau) * params.noise_w)
     # log1p keeps precision when the SNR term is tiny
-    return (1.0 - tau) * params.bandwidth_mhz * math.log1p(snr) / LN2
+    return (1.0 - tau) * params.bandwidth_mhz * np.log1p(snr) / LN2
+
+
+def rates(params: SystemParams, g, k, tau, e):
+    """Achievable uplink rate in Mbps of each pair, over (..., pair) arrays: the
+    source spends fraction ``tau`` charging, with beacon energy ``e``, and the
+    rest transmitting with all it harvested."""
+    tau, e = np.asarray(tau, dtype=float), np.asarray(e, dtype=float)
+    _require((0.0 < tau) & (tau < 1.0), "tau must lie in (0, 1), got {}", tau)
+    _require((0.0 <= e) & (e <= tau * params.p_pb * (1.0 + 1e-12)),
+             "e_pb must lie in [0, tau * p_pb], got {}", e)
+    return _rates(params, g, k, tau, e)
+
+
+def welfares(params: SystemParams, g, k, tau, e, budget):
+    """Weighted sum-throughput, by ``math.fsum``, of each row of (..., pair)
+    AP charging times ``tau`` and beacon energies ``e``.  Every pair needs
+    ``0 <= e / p_pb <= tau < 1`` (the beacon charges no longer than the AP),
+    and a row's energies must fit its ``budget``.  A pair with ``tau == 0``
+    has no charging time and adds nothing."""
+    tau, e = np.asarray(tau, dtype=float), np.asarray(e, dtype=float)
+    share, n = e / params.p_pb, e.shape[-1]
+    _require((0.0 <= share) & (share <= tau) & (tau < 1.0),
+             "need 0 <= e_pb / p_pb <= tau < 1, got tau={}, e_pb={}", tau, e)
+    # a NumPy sum of n nonnegative terms is within (n - 1) u of their exact
+    # total (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    # §4.2), so fsum has the verdict unless a row comes within 2 n eps of it
+    limit = budget * (1.0 + 1e-9) + 1e-12
+    if (e.sum(axis=-1) > limit * (1.0 - 2 * n * np.finfo(float).eps)).any():
+        total = np.reshape(_row_sums(e.reshape(-1, n)), e.shape[:-1])
+        _require(total <= limit, "total beacon energy {} exceeds budget {}", total, budget)
+    # the ordering check implies ``rates``' checks wherever tau > 0
+    rate = np.where(tau != 0.0, np.asarray(params.weights) * _rates(params, g, k, tau, e), 0.0)
+    return np.reshape(_row_sums(rate.reshape(-1, n)), e.shape[:-1])
+
+
+def throughput(params: SystemParams, ch: PairChannel, tau: float, e_pb: float) -> float:
+    """Achievable uplink rate in Mbps for one pair: one entry of ``rates``."""
+    return rates(params, ch.g_pow, ch.k_pow, tau, e_pb).item()
 
 
 def social_welfare(params: SystemParams, channels, taus, energies) -> float:
-    """Weighted sum-throughput over all pairs, after checking the allocation.
-
-    ``taus`` are the AP charging-time fractions and ``energies`` the beacon
-    energies, one per pair.  Every pair needs ``0 <= e / p_pb <= tau < 1``
-    (the beacon charges no longer than the AP), and the energies must fit the
-    budget.  A pair with ``tau == 0`` has no charging time and adds nothing.
-    """
+    """Weighted sum-throughput over all pairs, after checking the allocation:
+    ``welfares`` of one row, one entry per pair, at budget ``params.e_b_tot``."""
     if not len(params.weights) == len(channels) == len(taus) == len(energies):
         raise DomainError("weights, channels, taus and energies sizes differ")
-    for t, e in zip(taus, energies):
-        if not 0.0 <= e / params.p_pb <= t < 1.0:
-            raise DomainError(f"need 0 <= e_pb / p_pb <= tau < 1, got tau={t}, e_pb={e}")
-    total = math.fsum(energies)
-    if total > params.e_b_tot * (1.0 + 1e-9) + 1e-12:
-        raise DomainError(f"total beacon energy {total} exceeds budget {params.e_b_tot}")
-    return math.fsum(
-        w * throughput(params, ch, t, e)
-        for w, ch, t, e in zip(params.weights, channels, taus, energies)
-        if t != 0.0
-    )
+    g, k = (np.array([getattr(ch, f) for ch in channels]) for f in ("g_pow", "k_pow"))
+    return welfares(params, g, k, taus, energies, params.e_b_tot).item()

@@ -16,6 +16,7 @@ from pbwpcn import (
     derive_pair,
     draw_channels,
     draw_trials,
+    social_welfare,
     sweep,
     throughput,
     waterfill,
@@ -51,7 +52,7 @@ def solve_and_compare(params, trials, budgets, cfg=AuctionConfig()):
             assert rel_gap(lanes.nu[k, t], coop.nu) <= RTOL
             assert rel_gap(lanes.e_star[k, t], coop.e_star) <= RTOL
             assert rel_gap(lanes.tau_star[k, t], coop.tau_star) <= RTOL
-            assert rel_gap(lanes.welfare[k, t], coop.welfare) <= RTOL
+            assert lanes.welfare[k, t] == coop.welfare
             assert rel_gap(lanes.e_final[k, t], e_fin) <= RTOL
             assert rel_gap(lanes.tau_final[k, t], tau_fin) <= RTOL
             assert lanes.pb_quit[k, t] == quit_
@@ -60,7 +61,7 @@ def solve_and_compare(params, trials, budgets, cfg=AuctionConfig()):
                 w * throughput(p, ch, tf, e)
                 for w, ch, tf, e in zip(p.weights, channels, tau_fin, e_fin)
             )
-            assert rel_gap(lanes.welfare_auction[k, t], welfare_auc) <= RTOL
+            assert lanes.welfare_auction[k, t] == welfare_auc
     return lanes
 
 
@@ -186,10 +187,11 @@ def test_auction_lanes_equal_auction_allocation(n_pairs):
 
 
 def test_coop_lanes_equal_waterfill():
-    # the lanes take waterfill's decisions, so every cooperative lane has the
-    # scalar solve's bits: sweep lanes, and random instances whose pairs are
-    # clones of a few, so that caps tie, at budgets from 0 to past every
-    # pair's optimum
+    # the lanes take waterfill's decisions and compute tau and welfare by the
+    # same array forms, so every cooperative lane has the scalar solve's bits,
+    # and so does every auction lane's welfare: sweep lanes, and random
+    # instances whose pairs are clones of a few, so that caps tie, at budgets
+    # from 0 to past every pair's optimum
     cases = []
     for n_pairs in (3, 8, 20):
         cfg = ExperimentConfig(n_pairs=n_pairs, trials=25, seed=n_pairs)
@@ -214,6 +216,10 @@ def test_coop_lanes_equal_waterfill():
                 assert lanes.nu[k, t] == coop.nu, (budget, t)
                 assert lanes.e_star[k, t].tolist() == list(coop.e_star), (budget, t)
                 assert lanes.tau_star[k, t].tolist() == list(coop.tau_star), (budget, t)
+                assert lanes.welfare[k, t] == coop.welfare, (budget, t)
+                e_fin, tau_fin, _, _ = auction_allocation(p, channels, AuctionConfig())
+                assert lanes.welfare_auction[k, t] == social_welfare(p, channels, tau_fin, e_fin), (
+                    budget, t)
                 n_lanes += 1
     assert n_lanes >= 1000
 

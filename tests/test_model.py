@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,9 @@ from pbwpcn import (
     social_welfare,
     throughput,
 )
-from pbwpcn.coop import derive_pair, tau_of_e
+from pbwpcn.batch import columns
+from pbwpcn.coop import derive_pair, derive_pairs, tau_of_e
+from pbwpcn.model import charging_times, rates, welfares
 
 from oracles import random_instance, weighted_rate_grid
 
@@ -123,6 +126,8 @@ class TestThroughput:
             throughput(params, ch, 0.0, 0.0)
         with pytest.raises(DomainError):
             throughput(params, ch, 0.3, 0.7)  # e_pb > tau * p_pb
+        with pytest.raises(DomainError, match="e_pb must lie in"):
+            throughput(params, ch, 0.5, math.nan)
 
 
 class TestChargingTimeDominance:
@@ -169,3 +174,70 @@ class TestSocialWelfare:
         ):
             with pytest.raises(DomainError, match="sizes differ"):
                 social_welfare(params, channels, taus, energies)
+
+
+class TestRows:
+    """``charging_times`` and ``welfares`` over (row, trial, pair) arrays: a
+    row has the same bits alone, inside any batch, and as the one-pair and
+    one-row calls, as ``TestLadderRows`` checks for bids."""
+
+    @staticmethod
+    def check(params, trials, rng):
+        ds = [derive_pairs(params, ch) for ch in trials]
+        g, k = columns(trials, ("g_pow", "k_pow"))
+        z_dag, e_lim, e_opt = columns(ds, ("z_dag", "e_lim", "e_opt"))
+        shape = g.shape
+        mixed = np.where(rng.random(shape) < 0.5, e_lim, rng.uniform(0.0, 1.0, shape) * e_opt)
+        e = np.stack([np.zeros(shape), e_lim, e_opt, mixed])  # (row, trial, pair)
+        tau = charging_times(params, g, k, z_dag, e_lim, e)
+        # pairs with no energy and no charging time add nothing
+        no_time = (e == 0.0) & (rng.random(e.shape) < 0.5)
+        tau_zeroed = np.where(no_time, 0.0, tau)
+        assert no_time.any()
+        budget = params.n_pairs * params.p_pb
+        for taus in (tau, tau_zeroed):
+            w = welfares(params, g, k, taus, e, budget)
+            assert w.shape == e.shape[:2] and (w >= 0.0).all()
+            for r, t in np.ndindex(w.shape):
+                alone = charging_times(params, g[t], k[t], z_dag[t], e_lim[t], e[r, t])
+                assert alone.tobytes() == tau[r, t].tobytes()
+                assert [tau_of_e(params, ch, d, x) for ch, d, x in zip(
+                    trials[t], ds[t], e[r, t].tolist())] == tau[r, t].tolist()
+                assert welfares(params, g[t], k[t], taus[r, t], e[r, t], budget).tobytes() \
+                    == w[r, t].tobytes()
+                one_row = dataclasses.replace(params, e_b_tot=budget)
+                assert social_welfare(one_row, trials[t], taus[r, t].tolist(),
+                                      e[r, t].tolist()) == w[r, t]
+        # inside a batch of other trials, a trial's rows keep their bits
+        part = welfares(params, g[1:], k[1:], tau[:, 1:], e[:, 1:], budget)
+        assert part.tobytes() == welfares(params, g, k, tau, e, budget)[:, 1:].tobytes()
+
+    def test_three_pair_trials(self):
+        rng = np.random.default_rng(67)
+        params, _, _ = random_instance(rng, 3)
+        params = dataclasses.replace(params, weights=tuple(rng.uniform(0.5, 20.0, 3)))
+        trials = [random_instance(rng, 3)[1] for _ in range(6)]
+        self.check(params, trials, rng)
+
+    def test_one_200_pair_row(self):
+        rng = np.random.default_rng(71)
+        params, channels, _ = random_instance(rng, 200)
+        params = dataclasses.replace(params, weights=tuple(rng.uniform(0.5, 20.0, 200)))
+        self.check(params, [channels, random_instance(rng, 200)[1]], rng)
+
+    @pytest.mark.parametrize("at", [(0, 0), (1, 2)])
+    def test_nan_is_a_domain_error(self, at):
+        # a NaN tau or energy names itself, and never gives a NaN rate or welfare
+        params = make_params(n=3)
+        g, k = np.full(3, 1e-5), np.full(3, 1e-4)
+        d = derive_pair(params, PairChannel(1e-5, 1e-4), 10.0)
+        for bad_tau, bad_e in ((0.5, math.nan), (math.nan, 0.1)):
+            tau, e = np.full((2, 3), 0.5), np.full((2, 3), 0.1)
+            tau[at], e[at] = bad_tau, bad_e
+            with pytest.raises(DomainError, match="got nan"):
+                rates(params, g, k, tau, e)
+            with pytest.raises(DomainError, match="=nan"):
+                welfares(params, g, k, tau, e, 1.0)
+        e[at] = math.nan
+        with pytest.raises(DomainError, match="got nan"):
+            charging_times(params, g, k, d.z_dag, d.e_lim, e)
