@@ -195,6 +195,7 @@ class TestRows:
         tau_zeroed = np.where(no_time, 0.0, tau)
         assert no_time.any()
         budget = params.n_pairs * params.p_pb
+        one_row = dataclasses.replace(params, e_b_tot=budget)
         for taus in (tau, tau_zeroed):
             w = welfares(params, g, k, taus, e, budget)
             assert w.shape == e.shape[:2] and (w >= 0.0).all()
@@ -205,7 +206,6 @@ class TestRows:
                     trials[t], ds[t], e[r, t].tolist())] == tau[r, t].tolist()
                 assert welfares(params, g[t], k[t], taus[r, t], e[r, t], budget).tobytes() \
                     == w[r, t].tobytes()
-                one_row = dataclasses.replace(params, e_b_tot=budget)
                 assert social_welfare(one_row, trials[t], taus[r, t].tolist(),
                                       e[r, t].tolist()) == w[r, t]
         # inside a batch of other trials, a trial's rows keep their bits
