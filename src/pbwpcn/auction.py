@@ -17,7 +17,7 @@ from itertools import chain, pairwise
 
 import numpy as np
 
-from .batch import LADDER_BLOCK, _prr, columns, ladder_close, ladder_rows, ladder_top
+from .batch import LADDER_BLOCK, _prr, columns, ladder_close, ladder_top, lane_rows
 from .errors import DomainError
 from .model import PairChannel, SystemParams, _row_sums, charging_times, rates
 from .coop import PairDerived, RoundLog, derive_pairs, gamma, tau_of_e
@@ -178,7 +178,7 @@ def walk_top(deriveds, cfg: AuctionConfig) -> int:
 def run_auction(params: SystemParams, channels, cfg: AuctionConfig) -> AuctionOutcome:
     """The ascending clinching auction: the ladder walk, its close and payments.
 
-    The walk prices ``LADDER_BLOCK`` rounds at a time through ``ladder_rows``
+    The walk prices ``LADDER_BLOCK`` rounds at a time through ``lane_rows``
     and stops at the first round whose bids fit the budget; only the budget
     and those (nonnegative) bids drive it.  Each round goes to a packed
     ``LadderLog``, which the message-passing protocol relays.
@@ -186,14 +186,14 @@ def run_auction(params: SystemParams, channels, cfg: AuctionConfig) -> AuctionOu
     deriveds = derive_pairs(params, channels)
     t_top = walk_top(deriveds, cfg)
     budget = params.e_b_tot
-    n = len(deriveds)
+    n, cols = len(deriveds), columns([deriveds])
     prices, bid_log, clinched = array("d"), array("d"), array("d")
     start = None  # the first round that clinches anything
     prev_bids = None
     no_clinch = array("d", bytes(8 * n))
     for t0 in range(0, t_top + 1, LADDER_BLOCK):
         rounds = np.arange(t0, min(t0 + LADDER_BLOCK, t_top + 1))
-        block = ladder_rows(params, deriveds, cfg, rounds)
+        block = lane_rows(params.p_pb, cols, cfg, rounds)
         totals = _row_sums(block)
         # the walk closes at the first round whose bids fit the budget; every
         # bid is zero at the ladder top, so it closes there at the latest

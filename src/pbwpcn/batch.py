@@ -153,12 +153,6 @@ def lane_rows(p_pb, cols, cfg, rounds):
         return _demand(p_pb, *cols, mu, {"newton": 0})
 
 
-def ladder_rows(params, deriveds, cfg, rounds):
-    """Every pair's bid in each ladder round of the integer sequence ``rounds``,
-    shaped (len(rounds), n): ``lane_rows`` of one lane."""
-    return lane_rows(params.p_pb, columns([deriveds]), cfg, rounds)
-
-
 def _prr(budget, last, prev, s_last, s_prev):
     """Proportional rationing of each row's budget between bid rows ``last``
     and ``prev`` that straddle it, of exact (``math.fsum``) totals ``s_last``

@@ -4,10 +4,10 @@ Channels are quasi-static flat Rayleigh with a distance path-loss of
 1e-3 * d^-zeta (30 dB attenuation at 1 m).  Draws use counter-based Philox
 substreams keyed by (seed, trial, pair) (Salmon et al., SC 2011), so results
 are reproducible and adding trials or pairs never reshuffles earlier draws.
-``draw_trials`` derives the keys of all its (trial, pair) streams at once,
-equal to ``SeedSequence((seed, trial, pair)).generate_state(2, np.uint64)``
-word for word, and re-keys one ``Philox`` for each stream; ``draw_channels``
-is its one-trial view.
+``draw_trials`` derives the keys of all its (trial, pair) streams at once by
+``SeedSequence``'s two steps, ``mix_entropy`` and ``generate_state``, run over
+arrays of streams, and re-keys one ``Philox`` for each stream;
+``draw_channels`` is its one-trial view.
 """
 
 from __future__ import annotations
@@ -99,70 +99,50 @@ def pathloss(distance: float, zeta: float) -> float:
     return 1e-3 * distance ** (-zeta)
 
 
-# NumPy's SeedSequence (after M. E. O'Neill's seed_seq_fe), pool size 4, in
-# uint32 arrays that wrap mod 2**32 as its words do: the hash multipliers,
-# their starting values and the mix multipliers
+# NumPy's SeedSequence (after M. E. O'Neill's seed_seq_fe): its hash
+# multipliers with their starting values, and its mix multipliers
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-# (0-d arrays: NumPy dispatches a uint32 array op on them faster than on scalars)
-_MIX_L, _MIX_R, _SHIFT = (np.array(c, dtype=np.uint32) for c in (0xCA01F9DD, 0x4973F715, 16))
-
-
-def _hash_consts(init, mult, first, n):
-    """The hash constant before and after calls ``first .. first + n - 1`` of a
-    hash that starts at ``init`` and multiplies by ``mult`` per call, as
-    (2, n, 1) columns against (word, row) arrays."""
-    return np.array([[[init * pow(mult, j + k, 1 << 32) & _MASK32]
-                      for j in range(first, first + n)] for k in (0, 1)], dtype=np.uint32)
-
-
-def _cross_consts(src):
-    """Calls 4 + 3 * src onwards: pool word ``src`` hashed for each other pool
-    word in turn; word ``src``'s own entry is unused."""
-    consts = np.zeros((2, 4, 1), dtype=np.uint32)
-    consts[:, np.arange(4) != src] = _hash_consts(_INIT_A, _MULT_A, 4 + 3 * src, 3)
-    return consts
-
-
-# calls 0-3 hash the entropy into the pool and calls 4-15 cross-mix its
-# words; ``generate_state`` hashes the pool again, with the second hash
-_POOL_HASH = _hash_consts(_INIT_A, _MULT_A, 0, 4)
-_CROSS_HASH = [_cross_consts(src) for src in range(4)]
-_STATE_HASH = _hash_consts(_INIT_B, _MULT_B, 0, 4)
-
-
-def _hashmix(v, consts):
-    """SeedSequence's ``hashmix`` of the uint32 array ``v``, broadcast
-    against the hash constants ``consts``."""
-    v = v ^ consts[0]
-    v *= consts[1]
-    v ^= v >> _SHIFT
-    return v
-
-
-def _mix(x, y):
-    """SeedSequence's ``mix(x, y)``; consumes ``y``."""
-    x = x * _MIX_L
-    y *= _MIX_R
-    x -= y
-    x ^= x >> _SHIFT
-    return x
+_MIX_MULT_L, _MIX_MULT_R, _XSHIFT = 0xCA01F9DD, 0x4973F715, 16
 
 
 def _seed_keys(entropy):
     """Column i: the two Philox key words ``SeedSequence`` makes of the uint32
-    entropy words ``entropy[:, i]``, zero-padded to at least 4 words (as
-    SeedSequence pads its pool), as (columns, 2) uint64."""
-    pool = _hashmix(entropy[:4], _POOL_HASH)
-    for src, consts in enumerate(_CROSS_HASH):
-        # one pool word's three cross-mixes at once; the word itself stays
-        mixed = _mix(pool, _hashmix(pool[src], consts))
-        mixed[src] = pool[src]
-        pool = mixed
-    for src in range(4, len(entropy)):  # words past the pool mix into every pool word
-        pool = _mix(pool, _hashmix(entropy[src], _hash_consts(_INIT_A, _MULT_A, 4 * src, 4)))
-    # the state's uint32 words read as little-endian uint64 pairs
-    return np.ascontiguousarray(_hashmix(pool, _STATE_HASH).T, dtype="<u4").view("<u8")
+    entropy words ``entropy[:, i]``, as (columns, 2) uint64.  The steps are
+    ``mix_entropy`` and ``generate_state`` of ``numpy/random/bit_generator.pyx``,
+    pool size 4, each word a uint32 array over the columns that wraps as C's."""
+    hash_const = _INIT_A
+
+    def hashmix(value, mult=_MULT_A):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * mult & _MASK32
+        value *= hash_const
+        value ^= value >> _XSHIFT
+        return value
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        result ^= result >> _XSHIFT
+        return result
+
+    # mix_entropy: hash the entropy into the pool, zero past its end
+    zero = np.zeros(entropy.shape[1], dtype=np.uint32)
+    mixer = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    # mix all bits together, so that late bits can affect earlier bits
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                mixer[i_dst] = mix(mixer[i_dst], hashmix(mixer[i_src]))
+    # mix each entropy word past the pool into every pool word
+    for i_src in range(4, len(entropy)):
+        for i_dst in range(4):
+            mixer[i_dst] = mix(mixer[i_dst], hashmix(entropy[i_src]))
+    # generate_state: the pool hashed again, by the second hash; its uint32
+    # words read as little-endian uint64 pairs
+    hash_const = _INIT_B
+    state = [hashmix(word, _MULT_B) for word in mixer]
+    return np.stack(state, axis=1).astype("<u4", copy=False).view("<u8")
 
 
 def _words(n):
@@ -184,9 +164,7 @@ def _philox_keys(seed, trials, n_pairs):
     # seeds and trials from 2**32 up take more words: each entropy length apart
     for length in {len(r) for r in rows}:
         idx = [i for i, r in enumerate(rows) if len(r) == length]
-        entropy = np.zeros((max(length, 4), len(idx)), dtype=np.uint32)
-        entropy[:length] = np.array([rows[i] for i in idx], dtype=np.uint32).T
-        keys[idx] = _seed_keys(entropy)
+        keys[idx] = _seed_keys(np.array([rows[i] for i in idx], dtype=np.uint32).T)
     return keys.reshape(len(trials), n_pairs, 2)
 
 

@@ -16,6 +16,7 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, minimize
 
 from pbwpcn import PairChannel, SystemParams, derive_pair, gamma
+from pbwpcn.batch import columns, lane_rows
 from pbwpcn.experiments import pathloss
 
 LN2 = math.log(2.0)
@@ -83,6 +84,13 @@ def demand_oracle(params, ch, d):
         return 0.0 if nu >= d.alpha else gamma(params, ch, d, nu)
 
     return bid
+
+
+def ladder_rows(params, deriveds, cfg, rounds):
+    """Every pair's bid in each ladder round of the integer sequence ``rounds``,
+    shaped (len(rounds), n): ``batch.lane_rows`` of one lane, as the walk
+    prices its blocks."""
+    return lane_rows(params.p_pb, columns([deriveds]), cfg, rounds)
 
 
 def draw_channels_reference(cfg, trial):

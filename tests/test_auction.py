@@ -21,9 +21,8 @@ from pbwpcn import (
 )
 from pbwpcn import auction, batch, coop
 from pbwpcn.auction import MAX_LADDER_ROUNDS
-from pbwpcn.batch import ladder_rows
 
-from oracles import bytes_per_round, jsonl, random_instance
+from oracles import bytes_per_round, jsonl, ladder_rows, random_instance
 
 
 class TestBestResponse:

@@ -16,17 +16,19 @@ from pbwpcn import (
     derive_pair,
     draw_channels,
     draw_trials,
+    make_views,
+    run_coop_protocol,
     social_welfare,
     sweep,
     throughput,
     waterfill,
 )
 from pbwpcn.auction import MAX_LADDER_ROUNDS
-from pbwpcn.batch import columns, ladder_close, ladder_rows, ladder_top, solve_lanes
+from pbwpcn.batch import columns, ladder_close, ladder_top, solve_lanes
 from pbwpcn.coop import derive_pairs
 from pbwpcn.errors import DomainError
 from pbwpcn.experiments import _FIG4_BUDGETS, load_paper_instance, table_params
-from oracles import demand_oracle, random_instance
+from oracles import demand_oracle, ladder_rows, random_instance
 from test_coop import defect_a_instance
 
 RTOL = 1e-12
@@ -84,6 +86,32 @@ class TestAgainstScalar:
         params2 = SystemParams(0.1, 1e-11, 0.5, 1.0, 2.0, (10.0, 10.0), 1.0)
         lanes = solve_and_compare(params2, [[ch, ch]], [budget])
         assert lanes.e_star[0, 0, 0] == lanes.e_star[0, 0, 1]
+
+    @pytest.mark.parametrize("frac", [0.3, 0.7, 0.99, 1.01, 1.5])
+    @pytest.mark.parametrize("r", [5e-10, 9e-10, 1.1e-9, 3e-9])
+    def test_cap_grouping_tolerance(self, paper, r, frac):
+        # caps within 1e-9 relative of each other are one level: two clones
+        # of paper pair 3 whose weights, and so caps, differ by a factor 1 + r
+        _, channels = paper
+        pair = [channels[2]] * 2
+        params = SystemParams(0.1, 1e-11, 0.5, 1.0, 2.0, (10.0, 10.0 * (1.0 + r)), 1.0)
+        ds = derive_pairs(params, pair)
+        knee_sum = math.fsum(d.e_lim for d in ds)
+        params = dataclasses.replace(params, e_b_tot=frac * knee_sum)
+        res = waterfill(params, pair)
+        dist, _ = run_coop_protocol(*make_views(params, pair))
+        lanes = solve_lanes(params, [pair], [ds], [params.e_b_tot], AuctionConfig())
+        for nu, e_star in ((dist.nu, dist.e_star), (lanes.nu[0, 0], lanes.e_star[0, 0].tolist())):
+            assert nu == res.nu
+            assert tuple(e_star) == res.e_star
+        top_cap = max(d.alpha for d in ds)
+        if r <= 9e-10 and frac < 1.0:
+            assert res.nu == top_cap
+            assert res.e_star[0] == res.e_star[1]
+        if r >= 1.1e-9 and frac == 0.3:
+            assert res.nu == top_cap
+            assert res.e_star == (0.0, params.e_b_tot)
+            assert res.e_star[1] == pytest.approx(0.10054106970101677, rel=1e-12)
 
     def test_near_cap_instance(self):
         channels = draw_channels(ExperimentConfig(n_pairs=2, seed=0), 693)
