@@ -17,7 +17,7 @@ from itertools import chain, pairwise
 
 import numpy as np
 
-from .batch import LADDER_BLOCK, _prr, columns, ladder_close, ladder_top, lane_rows
+from .batch import LADDER_BLOCK, _prr, ladder_close, ladder_top, lane_rows
 from .errors import DomainError
 from .model import PairChannel, SystemParams, _row_sums, charging_times, rates
 from .coop import PairDerived, RoundLog, derive_pairs, gamma, tau_of_e
@@ -183,10 +183,10 @@ def run_auction(params: SystemParams, channels, cfg: AuctionConfig) -> AuctionOu
     and those (nonnegative) bids drive it.  Each round goes to a packed
     ``LadderLog``, which the message-passing protocol relays.
     """
-    deriveds = derive_pairs(params, channels)
-    t_top = walk_top(deriveds, cfg)
+    d = derive_pairs(params, channels)
+    t_top = walk_top(d, cfg)
     budget = params.e_b_tot
-    n, cols = len(deriveds), columns([deriveds])
+    n, cols = d.alpha.size, (d.x_const, d.alpha, d.lam_w)
     prices, bid_log, clinched = array("d"), array("d"), array("d")
     start = None  # the first round that clinches anything
     prev_bids = None
@@ -221,9 +221,8 @@ def run_auction(params: SystemParams, channels, cfg: AuctionConfig) -> AuctionOu
         e_final = _prr(budget, bids, prev_bids, total, prev_total).tolist()
         clinched.extend(e_final)
         pay = _payments(prices, clinched, n, t if start is None else start)
-    g, k = columns([channels], ("g_pow", "k_pow"))
-    [tau_final] = charging_times(params, g, k, *columns([deriveds], ("z_dag", "e_lim")), e_final)
-    ap_util = params.weights * rates(params, g[0], k[0], tau_final, e_final) - pay
+    tau_final = charging_times(params, d.g_pow, d.k_pow, d.z_dag, d.e_lim, e_final)
+    ap_util = params.weights * rates(params, d.g_pow, d.k_pow, tau_final, e_final) - pay
     return AuctionOutcome(
         e_final=tuple(e_final),
         tau_final=tuple(tau_final.tolist()),
@@ -243,10 +242,9 @@ def auction_allocation(params: SystemParams, channels, cfg: AuctionConfig):
     rather than by scan, with the walk's rows and split.
     Returns (e_final, tau_final, pb_quit, rounds_used).
     """
-    deriveds = derive_pairs(params, channels)
-    [t], [e_final], _, _ = ladder_close(params.p_pb, columns([deriveds]), cfg,
-                                        [params.e_b_tot], [ladder_top(deriveds, cfg)])
-    g, k = columns([channels], ("g_pow", "k_pow"))
-    [tau_final] = charging_times(params, g, k, *columns([deriveds], ("z_dag", "e_lim")), e_final)
+    d = derive_pairs(params, [channels])
+    [t], [e_final], _, _ = ladder_close(params.p_pb, (d.x_const, d.alpha, d.lam_w), cfg,
+                                        [params.e_b_tot], ladder_top(d, cfg))
+    [tau_final] = charging_times(params, d.g_pow, d.k_pow, d.z_dag, d.e_lim, e_final)
     # t == 0: demand never exceeds supply at the reserve price, no trade
     return tuple(e_final.tolist()), tuple(tau_final.tolist()), int(t) == 0, int(t) + 1

@@ -47,13 +47,6 @@ def _sum(a):
     return s + c
 
 
-def columns(records, fields=("x_const", "alpha", "lam_w")):
-    """Each of ``fields`` over ``records``, equal-length lists of pair records,
-    as a float array shaped (list, pair); by default the columns a bid reads."""
-    return [np.array([[getattr(r, f) for r in rs] for rs in records], dtype=float)
-            for f in fields]
-
-
 def _alpha_groups(alphas):
     """Indices of pairs with alpha > 0, grouped by equal alpha, descending."""
     idx = [i for i, a in enumerate(alphas) if a > 0.0]
@@ -125,29 +118,31 @@ def _demand(p_pb, x, alpha, lam_w, nu, stats):
     return e
 
 
-def ladder_top(deriveds, cfg) -> int:
-    """First ladder index whose price reaches every bidder's cap.
+def ladder_top(deriveds, cfg):
+    """First ladder index whose price reaches every bidder's cap, per row of
+    the (..., pair) constants ``deriveds``, as int64.
 
     Every bid there is zero, so aggregate demand has fallen to the budget.
     """
-    alpha_max = max((d.alpha for d in deriveds), default=0.0)
-    span = (alpha_max - cfg.reserve_price) / cfg.step
-    if not span < math.inf:
+    alpha_max = deriveds.alpha.max(axis=-1, initial=0.0)
+    with np.errstate(over="ignore"):
+        span = (alpha_max - cfg.reserve_price) / cfg.step
+    if not (span < math.inf).all():
         raise DomainError(f"price step {cfg.step} gives no finite ladder")
-    t_top = math.ceil(max(span, 1.0))
-    if cfg.reserve_price + t_top * cfg.step < alpha_max:
-        t_top += 1  # the rounded quotient can leave the price one ulp short
-    if t_top > 2**53:
+    t_top = np.ceil(np.maximum(span, 1.0))
+    # the rounded quotient can leave the price one ulp short
+    short = cfg.reserve_price + t_top * cfg.step < alpha_max
+    if (t_top > 2**53 - short).any():
         # past 2**53 a round's index is no longer an exact double
         raise DomainError(f"price step {cfg.step} gives a ladder of more than 2**53 rounds")
-    return t_top
+    return (t_top + short).astype(np.int64)
 
 
 def lane_rows(p_pb, cols, cfg, rounds):
     """Row i: every pair's bid in ladder round ``rounds[i]``, priced
     ``cfg.reserve_price + rounds[i] * cfg.step``, of the lane whose bid
-    ``columns`` are row i of ``cols``, or their one row.  A row depends on
-    its lane and round alone."""
+    columns, x_const, alpha and lam_w, are row i of ``cols``, or their one
+    row.  A row depends on its lane and round alone."""
     mu = cfg.reserve_price + np.asarray(rounds, dtype=float)[:, None] * cfg.step
     with np.errstate(all="ignore"):
         return _demand(p_pb, *cols, mu, {"newton": 0})
@@ -211,24 +206,23 @@ def ladder_close(p_pb, cols, cfg, budgets, t_tops, first=None):
     return close, e_fin, rows[1], rows[0]
 
 
-def solve_lanes(params, channels, deriveds, budgets, cfg) -> Lanes:
+def solve_lanes(params, deriveds, budgets, cfg) -> Lanes:
     """Lane (k, t) takes the decisions ``waterfill`` and ``auction_allocation``
-    take on trial t (``channels[t]``, ``deriveds[t]``) at budget ``budgets[k]``,
-    not ``params.e_b_tot``, and its tau and welfare come from the same
-    ``charging_times`` and ``welfares``: every field has their bits.  Logs one
-    summary line at DEBUG."""
-    n_t, n = len(deriveds), params.n_pairs
-    p_pb, mu0, dmu = params.p_pb, cfg.reserve_price, cfg.step
-    t_top = np.array([ladder_top(ds, cfg) for ds in deriveds])  # a bad ladder fails first
-    g, k = columns(channels, ("g_pow", "k_pow"))
-    x, z_dag, alpha, e_lim, lam_w = columns(
-        deriveds, ("x_const", "z_dag", "alpha", "e_lim", "lam_w"))
+    take on trial t, row t of the (trial, pair) constants ``deriveds``, at
+    budget ``budgets[k]``, not ``params.e_b_tot``, and its tau and welfare
+    come from the same ``charging_times`` and ``welfares``: every field has
+    their bits.  Logs one summary line at DEBUG."""
+    d, p_pb, mu0, dmu = deriveds, params.p_pb, cfg.reserve_price, cfg.step
+    n_t, n = d.alpha.shape
+    t_top = ladder_top(d, cfg)  # a bad ladder fails first
+    g, k, z_dag = d.g_pow, d.k_pow, d.z_dag
+    x, alpha, e_lim, lam_w = d.x_const, d.alpha, d.e_lim, d.lam_w
     # the price search's levels: 0, then each group's cap ascending, then +inf padding
     prices, lim_sum, level = [], [], []  # level: each pair's group level; 0 when alpha = 0
-    for ds in deriveds:
-        groups = _alpha_groups([d.alpha for d in ds])[::-1]
-        prices.append([0.0] + [ds[g[0]].alpha for g in groups] + [math.inf] * (n - len(groups)))
-        lim_sum.append([1.0] + [math.fsum(ds[i].e_lim for i in g) for g in groups]
+    for alphas, lims in zip(alpha.tolist(), e_lim.tolist()):
+        groups = _alpha_groups(alphas)[::-1]
+        prices.append([0.0] + [alphas[g[0]] for g in groups] + [math.inf] * (n - len(groups)))
+        lim_sum.append([1.0] + [math.fsum(lims[i] for i in g) for g in groups]
                        + [1.0] * (n - len(groups)))
         levels = [0] * n
         for m, group in enumerate(groups, 1):

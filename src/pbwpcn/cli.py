@@ -89,10 +89,8 @@ def _multiset_close(computed, golden, rtol=1e-3) -> bool:
 
 def cmd_paper_instance(args, config) -> int:
     params, channels = load_paper_instance()
-    deriveds = derive_pairs(params, channels)
-    alphas = [d.alpha for d in deriveds]
-    e_lims = [d.e_lim for d in deriveds]
-    e_opts = [d.e_opt for d in deriveds]
+    d = derive_pairs(params, channels)
+    alphas, e_lims, e_opts = d.alpha.tolist(), d.e_lim.tolist(), d.e_opt.tolist()
     print("pair constants (index order):")
     print("  alpha  [utility/Joule]:", " ".join(f"{a:.4f}" for a in alphas))
     print("  E_lim  [Joule]        :", " ".join(f"{e:.4f}" for e in e_lims))

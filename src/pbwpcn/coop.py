@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .batch import _alpha_groups, _demand, _prr, columns
+from .batch import _alpha_groups, _demand, _prr
 from .errors import ConvergenceError, DomainError
 from .model import LN2, PairChannel, SystemParams, charging_times, welfares
 from .roots import lambert_w0, solve_z
@@ -32,7 +33,9 @@ _X_CONST_MAX = 1e30
 
 @dataclass(frozen=True)
 class PairDerived:
-    """Constants of one pair's piecewise welfare curve."""
+    """Constants of one pair's piecewise welfare curve, floats from
+    ``derive_pair``; from ``derive_pairs`` each is a float64 array over
+    (..., pair)."""
 
     a_const: float   # G^2 * eta * p_ap / sigma^2
     x_const: float   # G * eta * (p_ap * G + p_pb * K) / sigma^2
@@ -42,6 +45,8 @@ class PairDerived:
     e_lim: float     # knee where beacon charging time starts to dominate
     e_opt: float     # unconstrained per-pair optimum
     lam_w: float     # weight * bandwidth, the rate-to-utility scale
+    g_pow: float     # the channel's gains, as ``PairChannel`` holds them
+    k_pow: float
 
 
 def derive_pair(params: SystemParams, ch: PairChannel, weight: float) -> PairDerived:
@@ -66,14 +71,24 @@ def derive_pair(params: SystemParams, ch: PairChannel, weight: float) -> PairDer
 
     if k > 0.0 and not (z_ddag > z_dag > 1.0 and 0.0 < e_lim < e_opt < params.p_pb):
         raise ConvergenceError("derived constants violate ordering invariants")
-    return PairDerived(a_const, x_const, z_dag, z_ddag, alpha, e_lim, e_opt, lam_w)
+    return PairDerived(a_const, x_const, z_dag, z_ddag, alpha, e_lim, e_opt, lam_w, g, k)
 
 
-def derive_pairs(params: SystemParams, channels) -> list[PairDerived]:
-    """Derived constants of every pair; the one place channels meet weights."""
-    if len(channels) != params.n_pairs:
+_FIELDS = operator.attrgetter(*(f.name for f in fields(PairDerived)))
+
+
+def derive_pairs(params: SystemParams, channels) -> PairDerived:
+    """Derived constants of every pair, the one place channels meet weights:
+    columns over (pair,) of one list of channels, or (trial, pair) of a list
+    of such lists, each pair's row from ``derive_pair``."""
+    one = not len(channels) or isinstance(channels[0], PairChannel)
+    trials = [channels] if one else channels
+    if any(len(chs) != params.n_pairs for chs in trials):
         raise DomainError("channels and weights sizes differ")
-    return [derive_pair(params, ch, w) for ch, w in zip(channels, params.weights)]
+    rows = [_FIELDS(derive_pair(params, ch, w))
+            for chs in trials for ch, w in zip(chs, params.weights)]
+    shape = (-1, params.n_pairs) if one else (-1, len(trials), params.n_pairs)
+    return PairDerived(*np.array(rows).T.reshape(shape))
 
 
 def tau_of_e(params: SystemParams, ch: PairChannel, d: PairDerived, e_pb: float) -> float:
@@ -141,11 +156,11 @@ def pooled_bids(params: SystemParams, deriveds, stats):
     ``gamma`` below it from a cold root, so a bid depends on its pair and
     the price alone.  ``stats["newton"]`` keeps the worst Newton count.
     """
-    x, alpha, lam_w = (c[0] for c in columns([deriveds]))
+    d = deriveds
 
     def bids_at(price):
         with np.errstate(all="ignore"):
-            return _demand(params.p_pb, x, alpha, lam_w, price, stats).tolist()
+            return _demand(params.p_pb, d.x_const, d.alpha, d.lam_w, price, stats).tolist()
 
     return bids_at
 
@@ -194,8 +209,8 @@ def price_search(deriveds, e_b_tot, bids_at, round_log, stats):
 
     Returns (nu, e_star list, rounds).
     """
-    n = len(deriveds)
-    groups = _alpha_groups([d.alpha for d in deriveds])[::-1]
+    alphas, e_lims = deriveds.alpha.tolist(), deriveds.e_lim.tolist()
+    n, groups = len(alphas), _alpha_groups(alphas)[::-1]
     rounds = 0
 
     def announce(nu):
@@ -218,7 +233,7 @@ def price_search(deriveds, e_b_tot, bids_at, round_log, stats):
     if not groups:
         return stop(0.0, [0.0] * n, "slack")
     # a group's price is its largest cap; every pair bids zero at the top one
-    prices = [0.0] + [deriveds[group[0]].alpha for group in groups]
+    prices = [0.0] + [alphas[group[0]] for group in groups]
     bids = announce(0.0)
     if math.fsum(bids) <= e_b_tot:
         return stop(0.0, list(bids), "slack")
@@ -231,20 +246,20 @@ def price_search(deriveds, e_b_tot, bids_at, round_log, stats):
         else:
             hi, bids = mid, mid_bids
     group = groups[hi - 1]
-    lim_sum = math.fsum(deriveds[i].e_lim for i in group)
+    lim_sum = math.fsum(e_lims[i] for i in group)
     residual = e_b_tot - math.fsum(bids)
     if residual <= lim_sum:
         # price settles exactly at this cap; split the residual budget
         # across the tied pairs in proportion to their knees
         e_star = list(bids)
         for i in group:
-            e_star[i] = residual * deriveds[i].e_lim / lim_sum
+            e_star[i] = residual * e_lims[i] / lim_sum
         return stop(prices[hi], e_star, "cap")
     # demand crosses the budget strictly between the two adjacent caps; just
     # below the upper one its group still bids its knees
     below_hi = list(bids)
     for i in group:
-        below_hi[i] = deriveds[i].e_lim
+        below_hi[i] = e_lims[i]
     return stop(*_regula_falsi(
         prices[lo], lo_bids, prices[hi], below_hi, lim_sum - residual, e_b_tot, announce
     ))
@@ -292,22 +307,21 @@ def _regula_falsi(a, a_bids, b, b_bids, f_b, e_b_tot, announce):
     raise ConvergenceError(f"price search stalled on bracket ({a}, {b})")
 
 
-def pooled_waterfill(params: SystemParams, channels, deriveds) -> WaterfillResult:
+def pooled_waterfill(params: SystemParams, deriveds) -> WaterfillResult:
     """The one water-filling body.
 
     ``waterfill`` and the cooperative protocol run it; ``batch.solve_lanes``
     replays it over arrays.
     """
     # round 0 of the cooperative protocol is the cap and knee reports
-    stats, round_log = {"newton": 0}, RoundLog(len(deriveds), 1)
-    bids_at = pooled_bids(params, deriveds, stats)
-    nu, e_star, rounds = price_search(deriveds, params.e_b_tot, bids_at, round_log, stats)
-    g, k = columns([channels], ("g_pow", "k_pow"))
-    [tau_star] = charging_times(params, g, k, *columns([deriveds], ("z_dag", "e_lim")), e_star)
-    welfare = welfares(params, g[0], k[0], tau_star, e_star, params.e_b_tot).item()
+    d, stats, round_log = deriveds, {"newton": 0}, RoundLog(deriveds.alpha.size, 1)
+    bids_at = pooled_bids(params, d, stats)
+    nu, e_star, rounds = price_search(d, params.e_b_tot, bids_at, round_log, stats)
+    tau_star = charging_times(params, d.g_pow, d.k_pow, d.z_dag, d.e_lim, e_star)
+    welfare = welfares(params, d.g_pow, d.k_pow, tau_star, e_star, params.e_b_tot).item()
     return WaterfillResult(nu, tuple(e_star), tuple(tau_star.tolist()), welfare, rounds, round_log)
 
 
 def waterfill(params: SystemParams, channels) -> WaterfillResult:
     """Budget-constrained welfare maximization over beacon energy splits."""
-    return pooled_waterfill(params, channels, derive_pairs(params, channels))
+    return pooled_waterfill(params, derive_pairs(params, channels))

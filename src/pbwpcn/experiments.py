@@ -22,7 +22,7 @@ from statistics import fmean
 import numpy as np
 
 from .auction import AuctionConfig, run_auction
-from .batch import columns, solve_lanes
+from .batch import solve_lanes
 from .coop import derive_pair, derive_pairs, waterfill  # perfbench's tests restore derive_pair
 from .errors import DomainError
 from .model import PairChannel, SystemParams, charging_times, welfares
@@ -219,16 +219,15 @@ class SweepRecord:
 def sweep(cfg: ExperimentConfig) -> list[SweepRecord]:
     """Monte Carlo means over the budget grid; writes CSVs when configured."""
     base = table_params(n_pairs=cfg.n_pairs)
-    # derived constants do not depend on the budget: one table per trial
-    all_channels = draw_trials(cfg, range(cfg.trials))
-    deriveds = [derive_pairs(base, channels) for channels in all_channels]
+    # derived constants do not depend on the budget: one (trial, pair) table
+    d = derive_pairs(base, draw_trials(cfg, range(cfg.trials)))
     # the welfare when the beacon stays silent does not depend on the budget
-    gains, silent = columns(all_channels, ("g_pow", "k_pow")), np.zeros((cfg.trials, cfg.n_pairs))
-    taus = charging_times(base, *gains, *columns(deriveds, ("z_dag", "e_lim")), silent)
-    welfare_nopb = fmean(welfares(base, *gains, taus, silent, base.e_b_tot).tolist())
+    silent = np.zeros(d.alpha.shape)
+    taus = charging_times(base, d.g_pow, d.k_pow, d.z_dag, d.e_lim, silent)
+    welfare_nopb = fmean(welfares(base, d.g_pow, d.k_pow, taus, silent, base.e_b_tot).tolist())
     # every (trial, budget) in one batch; payments cancel between bidders and
     # the auctioneer, so the auction's welfare is its weighted sum-throughput
-    lanes = solve_lanes(base, all_channels, deriveds, cfg.e_b_tot_grid, cfg.auction_config)
+    lanes = solve_lanes(base, d, cfg.e_b_tot_grid, cfg.auction_config)
     # the lanes behind SweepRecord's means, in its field order
     fields = ("e_star", "e_final", "tau_star", "tau_final", "welfare", "welfare_auction")
     records = [
@@ -318,9 +317,7 @@ def write_instance_csvs(outdir: str, auc_cfg: AuctionConfig = AuctionConfig()) -
 
     rows4e = [["e_b_tot"] + [f"e_coop_{i+1}" for i in range(n)] + [f"e_auction_{i+1}" for i in range(n)]]
     rows4t = [["e_b_tot"] + [f"tau_coop_{i+1}" for i in range(n)] + [f"tau_auction_{i+1}" for i in range(n)]]
-    lanes = solve_lanes(
-        params, [channels], [derive_pairs(params, channels)], _FIG4_BUDGETS, auc_cfg
-    )
+    lanes = solve_lanes(params, derive_pairs(params, [channels]), _FIG4_BUDGETS, auc_cfg)
     for k, budget in enumerate(_FIG4_BUDGETS):
         rows4e.append([budget] + lanes.e_star[k, 0].tolist() + lanes.e_final[k, 0].tolist())
         rows4t.append([budget] + lanes.tau_star[k, 0].tolist() + lanes.tau_final[k, 0].tolist())

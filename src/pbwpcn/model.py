@@ -153,5 +153,5 @@ def social_welfare(params: SystemParams, channels, taus, energies) -> float:
     ``welfares`` of one row, one entry per pair, at budget ``params.e_b_tot``."""
     if not len(params.weights) == len(channels) == len(taus) == len(energies):
         raise DomainError("weights, channels, taus and energies sizes differ")
-    g, k = (np.array([getattr(ch, f) for ch in channels]) for f in ("g_pow", "k_pow"))
+    g, k = np.array([(ch.g_pow, ch.k_pow) for ch in channels]).T
     return welfares(params, g, k, taus, energies, params.e_b_tot).item()

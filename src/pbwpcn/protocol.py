@@ -163,17 +163,16 @@ def run_coop_protocol(
     """Water-filling as message rounds: cap and knee reports, the price
     search's relayed bid rounds, then the final allocations."""
     params = _shared_params(pb_view, ap_views)
-    channels = [v.channel for v in ap_views]
-    deriveds = derive_pairs(params, channels)
+    deriveds = derive_pairs(params, [v.channel for v in ap_views])
     agent_ids = [v.agent_id for v in ap_views]
     bus = Bus()
 
     # setup round: every AP reports its cap and knee to the beacon
-    for aid, d in zip(agent_ids, deriveds):
-        bus.send(Message(MessageKind.ALPHA_REPORT, aid, PB_ID, d.alpha, 0))
-        bus.send(Message(MessageKind.ELIM_REPORT, aid, PB_ID, d.e_lim, 0))
+    for aid, alpha, e_lim in zip(agent_ids, deriveds.alpha.tolist(), deriveds.e_lim.tolist()):
+        bus.send(Message(MessageKind.ALPHA_REPORT, aid, PB_ID, alpha, 0))
+        bus.send(Message(MessageKind.ELIM_REPORT, aid, PB_ID, e_lim, 0))
 
-    result = pooled_waterfill(params, channels, deriveds)
+    result = pooled_waterfill(params, deriveds)
     bus.relay(agent_ids, result.log)
 
     for aid, e in zip(agent_ids, result.e_star):

@@ -15,8 +15,8 @@ import mpmath
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, minimize
 
-from pbwpcn import PairChannel, SystemParams, derive_pair, gamma
-from pbwpcn.batch import columns, lane_rows
+from pbwpcn import PairChannel, PairDerived, SystemParams, derive_pair, gamma
+from pbwpcn.batch import lane_rows
 from pbwpcn.experiments import pathloss
 
 LN2 = math.log(2.0)
@@ -73,6 +73,12 @@ def random_instance(rng, n_pairs, budget_frac=None):
     return params, channels, deriveds
 
 
+def one_pair(deriveds, i):
+    """Pair ``i`` of the (pair,) columns ``deriveds`` as a one-pair record."""
+    return PairDerived(*(getattr(deriveds, f.name)[i:i + 1]
+                         for f in dataclasses.fields(PairDerived)))
+
+
 def demand_oracle(params, ch, d):
     """One pair's scalar demand oracle: ``bid(nu) -> energy``.
 
@@ -90,7 +96,8 @@ def ladder_rows(params, deriveds, cfg, rounds):
     """Every pair's bid in each ladder round of the integer sequence ``rounds``,
     shaped (len(rounds), n): ``batch.lane_rows`` of one lane, as the walk
     prices its blocks."""
-    return lane_rows(params.p_pb, columns([deriveds]), cfg, rounds)
+    d = deriveds
+    return lane_rows(params.p_pb, (d.x_const, d.alpha, d.lam_w), cfg, rounds)
 
 
 def draw_channels_reference(cfg, trial):

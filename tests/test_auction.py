@@ -577,10 +577,7 @@ class TestLadderLength:
         # a ladder of exactly MAX_LADDER_ROUNDS rounds passes the check
         params, channels = paper
         cfg = AuctionConfig(reserve_price=0.0, step=1.0)
-        top = auction.ladder_top(
-            [derive_pair(params, ch, w) for ch, w in zip(channels, params.weights)],
-            cfg,
-        )
+        top = auction.ladder_top(coop.derive_pairs(params, channels), cfg)
         monkeypatch.setattr(auction, "MAX_LADDER_ROUNDS", top + 1)
         assert run_auction(params, channels, cfg).rounds_used <= top + 1
         monkeypatch.setattr(auction, "MAX_LADDER_ROUNDS", top)

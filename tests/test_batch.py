@@ -24,7 +24,7 @@ from pbwpcn import (
     waterfill,
 )
 from pbwpcn.auction import MAX_LADDER_ROUNDS
-from pbwpcn.batch import columns, ladder_close, ladder_top, solve_lanes
+from pbwpcn.batch import ladder_close, ladder_top, solve_lanes
 from pbwpcn.coop import derive_pairs
 from pbwpcn.errors import DomainError
 from pbwpcn.experiments import _FIG4_BUDGETS, load_paper_instance, table_params
@@ -45,7 +45,7 @@ def rel_gap(a, b):
 def solve_and_compare(params, trials, budgets, cfg=AuctionConfig()):
     """Run the kernel on every (budget, trial) and check each lane against
     ``waterfill`` and ``auction_allocation``; returns the kernel's lanes."""
-    lanes = solve_lanes(params, trials, [derive_pairs(params, ch) for ch in trials], budgets, cfg)
+    lanes = solve_lanes(params, derive_pairs(params, trials), budgets, cfg)
     for k, budget in enumerate(budgets):
         p = dataclasses.replace(params, e_b_tot=budget)
         for t, channels in enumerate(trials):
@@ -95,16 +95,16 @@ class TestAgainstScalar:
         _, channels = paper
         pair = [channels[2]] * 2
         params = SystemParams(0.1, 1e-11, 0.5, 1.0, 2.0, (10.0, 10.0 * (1.0 + r)), 1.0)
-        ds = derive_pairs(params, pair)
-        knee_sum = math.fsum(d.e_lim for d in ds)
+        ds = derive_pairs(params, [pair])
+        knee_sum = math.fsum(ds.e_lim[0])
         params = dataclasses.replace(params, e_b_tot=frac * knee_sum)
         res = waterfill(params, pair)
         dist, _ = run_coop_protocol(*make_views(params, pair))
-        lanes = solve_lanes(params, [pair], [ds], [params.e_b_tot], AuctionConfig())
+        lanes = solve_lanes(params, ds, [params.e_b_tot], AuctionConfig())
         for nu, e_star in ((dist.nu, dist.e_star), (lanes.nu[0, 0], lanes.e_star[0, 0].tolist())):
             assert nu == res.nu
             assert tuple(e_star) == res.e_star
-        top_cap = max(d.alpha for d in ds)
+        top_cap = ds.alpha.max()
         if r <= 9e-10 and frac < 1.0:
             assert res.nu == top_cap
             assert res.e_star[0] == res.e_star[1]
@@ -129,7 +129,7 @@ class TestAgainstScalar:
 
     def test_slack_budgets_quit(self, paper):
         params, channels = paper
-        e_opt_sum = math.fsum(d.e_opt for d in derive_pairs(params, channels))
+        e_opt_sum = math.fsum(derive_pairs(params, channels).e_opt)
         lanes = solve_and_compare(params, [channels], [1.01 * e_opt_sum, 10.0])
         assert (lanes.nu == 0.0).all()
         assert lanes.pb_quit.all()
@@ -156,8 +156,7 @@ class TestAgainstScalar:
     def test_logs_one_line_per_call(self, caplog, paper):
         caplog.set_level(logging.DEBUG, logger="pbwpcn")
         params, channels = paper
-        solve_lanes(params, [channels], [derive_pairs(params, channels)], _FIG4_BUDGETS,
-                    AuctionConfig())
+        solve_lanes(params, derive_pairs(params, [channels]), _FIG4_BUDGETS, AuctionConfig())
         fields = kernel_line(caplog)
         assert list(fields) == ["n", "slack", "cap", "binds", "ulp", "rf_steps",
                                 "newton_iters", "ladder_misses", "budget_residual"]
@@ -202,8 +201,7 @@ def test_auction_lanes_equal_auction_allocation(n_pairs):
     cfg = ExperimentConfig(n_pairs=n_pairs, trials=6, seed=11)
     base = table_params(n_pairs=n_pairs)
     trials = [draw_channels(cfg, t) for t in range(cfg.trials)]
-    lanes = solve_lanes(base, trials, [derive_pairs(base, ch) for ch in trials],
-                        cfg.e_b_tot_grid, cfg.auction_config)
+    lanes = solve_lanes(base, derive_pairs(base, trials), cfg.e_b_tot_grid, cfg.auction_config)
     for k, budget in enumerate(cfg.e_b_tot_grid):
         params = dataclasses.replace(base, e_b_tot=budget)
         for t, channels in enumerate(trials):
@@ -231,12 +229,11 @@ def test_coop_lanes_equal_waterfill():
         _, originals, _ = random_instance(rng, int(rng.integers(1, n_pairs)))
         channels = [originals[i] for i in rng.integers(0, len(originals), size=n_pairs)]
         params = table_params(n_pairs=n_pairs)
-        e_opt_sum = math.fsum(d.e_opt for d in derive_pairs(params, channels))
+        e_opt_sum = math.fsum(derive_pairs(params, channels).e_opt)
         cases.append((params, [channels], (np.linspace(0.0, 1.2, 9) * e_opt_sum).tolist()))
     n_lanes = 0
     for params, trials, budgets in cases:
-        lanes = solve_lanes(params, trials, [derive_pairs(params, ch) for ch in trials],
-                            budgets, AuctionConfig())
+        lanes = solve_lanes(params, derive_pairs(params, trials), budgets, AuctionConfig())
         for k, budget in enumerate(budgets):
             p = dataclasses.replace(params, e_b_tot=budget)
             for t, channels in enumerate(trials):
@@ -260,8 +257,7 @@ def test_fast_path_equals_the_lanes_where_the_walk_cannot_run(paper, step):
     rng = np.random.default_rng(53)
     instances = [paper] + [random_instance(rng, int(rng.integers(2, 6)))[:2] for _ in range(4)]
     for params, channels in instances:
-        lanes = solve_lanes(params, [channels], [derive_pairs(params, channels)],
-                            [params.e_b_tot], cfg)
+        lanes = solve_lanes(params, derive_pairs(params, [channels]), [params.e_b_tot], cfg)
         e_fin, tau_fin, quit_, rounds = auction_allocation(params, channels, cfg)
         assert rounds > MAX_LADDER_ROUNDS
         assert lanes.e_final[0, 0].tolist() == list(e_fin)
@@ -281,7 +277,7 @@ def test_the_first_pass_is_only_a_hint(paper, step):
         ds = derive_pairs(params, channels)
         top = ladder_top(ds, cfg)
         budgets = params.e_b_tot * np.array([0.0, 0.3, 1.0, 1.7, 1e9])
-        cols = [np.repeat(c, budgets.size, axis=0) for c in columns([ds])]
+        cols = [np.repeat(c[None], budgets.size, axis=0) for c in (ds.x_const, ds.alpha, ds.lam_w)]
         tops = np.full(budgets.size, top)
         expected = ladder_close(params.p_pb, cols, cfg, budgets, tops)
         t = expected[0][:, None]
@@ -309,13 +305,13 @@ def test_a_ladder_past_2_53_rounds_is_a_domain_error(paper, weight, step):
     with pytest.raises(DomainError, match=r"2\*\*53"):
         auction_allocation(params, channels, cfg)
     with pytest.raises(DomainError, match=r"2\*\*53"):
-        solve_lanes(params, [channels], [derive_pairs(params, channels)], [params.e_b_tot], cfg)
+        solve_lanes(params, derive_pairs(params, [channels]), [params.e_b_tot], cfg)
 
 
 def test_the_longest_ladder_has_2_53_rounds(paper):
     params, channels = paper
     ds = derive_pairs(params, channels)
-    step = max(d.alpha for d in ds) / 2**53
+    step = ds.alpha.max() / 2**53
     assert ladder_top(ds, AuctionConfig(reserve_price=0.0, step=step)) == 2**53
     with pytest.raises(DomainError, match=r"2\*\*53"):
         ladder_top(ds, AuctionConfig(reserve_price=0.0, step=math.nextafter(step, 0.0)))
@@ -331,7 +327,7 @@ def ladders():
     for _ in range(20):
         p, chs, _ = random_instance(rng, int(rng.integers(1, 9)))
         yield p, chs, AuctionConfig(step=float(rng.uniform(0.005, 0.05)))
-    caps = sorted(d.alpha for d in derive_pairs(params, channels))
+    caps = sorted(derive_pairs(params, channels).alpha.tolist())
     yield params, channels, AuctionConfig(reserve_price=0.5 * (caps[0] + caps[1]), step=0.01)
 
 
@@ -343,8 +339,9 @@ class TestLadderRows:
             ds = derive_pairs(params, channels)
             top = ladder_top(ds, cfg)
             rows = ladder_rows(params, ds, cfg, range(0, top + 1))
-            assert rows.shape == (top + 1, len(ds))
-            oracles = [demand_oracle(params, ch, d) for ch, d in zip(channels, ds)]
+            assert rows.shape == (top + 1, len(channels))
+            oracles = [demand_oracle(params, ch, derive_pair(params, ch, w))
+                       for ch, w in zip(channels, params.weights)]
             for t, row in enumerate(rows):
                 mu = cfg.reserve_price + t * cfg.step
                 expected = np.array([bid(mu) for bid in oracles])

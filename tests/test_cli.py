@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import hashlib
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import tracemalloc
 import pytest
 
 from pbwpcn import AuctionConfig, make_views, run_auction, run_auction_protocol, run_coop_protocol
-from pbwpcn.cli import main
+from pbwpcn.cli import GOLDEN_ALPHA, GOLDEN_E_LIM, GOLDEN_E_OPT, main
 from pbwpcn.experiments import load_paper_instance
 
 from oracles import jsonl
@@ -25,6 +26,13 @@ class TestPaperInstance:
         assert main(["paper-instance"]) == 0
         out = capsys.readouterr().out
         assert "alpha" in out and "E_lim" in out and "E_opt" in out
+
+    def test_rows_are_the_golden_values(self, capsys):
+        # --check allows rtol 1e-3; the printed digits must be the golden ones
+        assert main(["paper-instance"]) == 0
+        rows = [line.split(":")[1].split() for line in capsys.readouterr().out.splitlines()[1:4]]
+        for row, golden in zip(rows, (GOLDEN_ALPHA, GOLDEN_E_LIM, GOLDEN_E_OPT)):
+            assert sorted(row) == sorted(f"{v:.4f}" for v in golden)
 
 
 class TestCoop:
@@ -124,6 +132,32 @@ class TestSweep:
         assert (tmp_path / "a" / "fig6_welfare.csv").read_bytes() == (
             tmp_path / "b" / "fig6_welfare.csv"
         ).read_bytes()
+
+    # sha256 of the sweep's CSVs at 200 trials, seed 1; fig4 is the fixed
+    # instance's, the same at any n
+    FIG4 = {
+        "fig4_energy.csv": "46b30af08998827e878b5fb78322c6da9c765518ba8314935a059085ad0ce6d2",
+        "fig4_time.csv": "270700ae5664ea5f079eb1417d05fd3772e05171952cdc55634679a5bbc8e26c",
+    }
+
+    @pytest.mark.parametrize("config, digests", [
+        ({}, {
+            "fig5_means.csv": "c4649dc2ea3a873e7b343034948d58a54ecd85599f6401d1bafa80321a1b1155",
+            "fig6_welfare.csv": "a4f8d29c72b9c8fb229bf09862d94d18ae06e8dc5b54fb93c15473a790232f6e",
+        }),
+        ({"n_pairs": 8}, {
+            "fig5_means.csv": "e6b0205f811baaf497ec1574dd06c48a804c1a132cdbf796a775a0cab68b0303",
+            "fig6_welfare.csv": "549c44d35fcac3d41de4edc044d9f90828eabae3c58a574647882dfe85860218",
+        }),
+    ], ids=["n3", "n8"])
+    def test_golden_digests(self, capsys, tmp_path, config, digests):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        argv = ["--config", str(cfg), "sweep", "--trials", "200", "--seed", "1", "--out", str(out)]
+        assert main(argv) == 0
+        for name, digest in {**self.FIG4, **digests}.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
     def test_instance_figures_follow_the_config_ladder(self, capsys, tmp_path):
         csvs = {}

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pbwpcn import (
+    ConvergenceError,
     DomainError,
     PairChannel,
     SystemParams,
@@ -37,6 +38,7 @@ from oracles import (
     convex_solver_welfare,
     demand_oracle,
     mp_z_minus_1,
+    one_pair,
     random_instance,
     weighted_rate_grid,
 )
@@ -90,6 +92,16 @@ class TestDerivePair:
             assert d.z_ddag > d.z_dag > 1.0
             assert 0.0 < d.e_lim < d.e_opt < params.p_pb
             assert d.alpha > 0.0
+
+    @pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                       reason="Defect B, ROADMAP item 4")
+    def test_ordering_on_a_far_source(self):
+        # trial 0, pair 0 of {"d_ap_src": 300, "pathloss_zeta": 4} at seed 0
+        ch = PairChannel(3.643600114265363e-15, 2.8139724685833473e-07)
+        params = table_params()
+        d = derive_pair(params, ch, 10.0)
+        assert d.z_ddag > d.z_dag > 1.0
+        assert 0.0 < d.e_lim < d.e_opt < params.p_pb
 
     def test_vanishing_beacon_channel(self, paper):
         # K -> 0 kills the marginal value of beacon energy
@@ -153,7 +165,8 @@ class TestTauOfE:
         params = table_params()
         for trial in range(10):
             channels = draw_channels(ExperimentConfig(seed=0), trial)
-            for ch, d in zip(channels, derive_pairs(params, channels)):
+            for ch, w in zip(channels, params.weights):
+                d = derive_pair(params, ch, w)
                 e = d.e_lim
                 for _ in range(61):
                     assert tau_of_e(params, ch, d, e) >= e / params.p_pb
@@ -164,7 +177,7 @@ class TestTauOfE:
         channels = draw_channels(cfg, 0)
         budget = 0.08244265259032821
         params = dataclasses.replace(table_params(), e_b_tot=budget)
-        assert derive_pairs(params, channels)[1].e_lim == budget
+        assert derive_pairs(params, channels).e_lim[1] == budget
         res = waterfill(params, channels)
         assert run_coop_protocol(*make_views(params, channels))[0] == res
         (record,) = sweep(dataclasses.replace(cfg, trials=1, e_b_tot_grid=(budget,)))
@@ -268,10 +281,11 @@ class TestGamma:
         # within 1e-3 * alpha of the cap X - Y is ~1e-6 * X; scalar, and
         # through the pooled bids along falling prices as a price search moves
         params = table_params(n_pairs=2)
-        ch = draw_channels(ExperimentConfig(n_pairs=2, seed=0), 693)[1]
+        channels = draw_channels(ExperimentConfig(n_pairs=2, seed=0), 693)
+        ch = channels[1]
         d = derive_pair(params, ch, params.weights[1])
         nus = [d.alpha * (1.0 - 1e-3 * (k + 0.5) / 50) for k in range(50)]
-        bids_at = pooled_bids(params, [d], {"newton": 0})
+        bids_at = pooled_bids(params, one_pair(derive_pairs(params, channels), 1), {"newton": 0})
         for nu in nus:
             with mpmath.workdps(40):
                 y = mpmath.mpf(nu) * params.p_pb * mpmath.log(2) / d.lam_w
@@ -299,10 +313,10 @@ class TestGamma:
             gamma(params, channels[0], d, -0.1)
 
 
-def search_prices(deriveds, rng, count):
+def search_prices(alphas, rng, count):
     """A price search's kind of sequence: each cap, just below and above it,
     and random prices up to past the largest cap, shuffled."""
-    caps = [d.alpha for d in deriveds if d.alpha > 0.0]
+    caps = [a for a in alphas if a > 0.0]
     prices = [0.0]
     for cap in rng.choice(caps, size=min(len(caps), 4), replace=False):
         prices += [cap * (1.0 - 1e-9), cap, cap * (1.0 + 1e-13)]
@@ -316,7 +330,7 @@ def pool_and_prices():
     params = table_params(n_pairs=200)
     channels = draw_channels(ExperimentConfig(n_pairs=200, seed=5), 0)
     ds = derive_pairs(params, channels)
-    return params, ds, search_prices(ds, np.random.default_rng(23), 16)
+    return params, ds, search_prices(ds.alpha.tolist(), np.random.default_rng(23), 16)
 
 
 class TestPooledBids:
@@ -324,7 +338,7 @@ class TestPooledBids:
         # every root starts cold, so the pool changes no bit
         params, ds, prices = pool_and_prices()
         pool = pooled_bids(params, ds, {"newton": 0})
-        alone = [pooled_bids(params, [d], {"newton": 0}) for d in ds]
+        alone = [pooled_bids(params, one_pair(ds, i), {"newton": 0}) for i in range(ds.alpha.size)]
         live = 0
         for nu in prices:
             row = pool(nu)
@@ -333,7 +347,7 @@ class TestPooledBids:
                 [expected] = bids_at(nu)
                 assert e.hex() == expected.hex(), nu
                 live += e > 0.0
-        assert 0 < live < len(prices) * len(ds)
+        assert 0 < live < len(prices) * ds.alpha.size
 
     def test_a_bid_has_the_same_bits_whatever_was_asked_before(self):
         params, ds, prices = pool_and_prices()
@@ -349,8 +363,8 @@ class TestPooledBids:
         rng = np.random.default_rng(24 + n)
         for _ in range(10):
             params, channels, ds = random_instance(rng, n)
-            bids_at = pooled_bids(params, ds, {"newton": 0})
-            for nu in search_prices(ds, rng, 14):
+            bids_at = pooled_bids(params, derive_pairs(params, channels), {"newton": 0})
+            for nu in search_prices([d.alpha for d in ds], rng, 14):
                 for ch, d, e in zip(channels, ds, bids_at(nu)):
                     if nu >= d.alpha:
                         assert e == 0.0
@@ -389,7 +403,8 @@ class TestRespondToPrice:
         # except that respond_to_price reports e_lim within 1e-12 of the cap
         rng = np.random.default_rng(19)
         params, channels = paper
-        cases = [(params, channels, derive_pairs(params, channels))]
+        cases = [(params, channels,
+                  [derive_pair(params, ch, w) for ch, w in zip(channels, params.weights)])]
         cases += [random_instance(rng, 1) for _ in range(20)]
         for params, channels, ds in cases:
             for ch, d in zip(channels, ds):

@@ -11,7 +11,6 @@ from pbwpcn import (
     social_welfare,
     throughput,
 )
-from pbwpcn.batch import columns
 from pbwpcn.coop import derive_pair, derive_pairs, tau_of_e
 from pbwpcn.model import charging_times, rates, welfares
 
@@ -183,9 +182,9 @@ class TestRows:
 
     @staticmethod
     def check(params, trials, rng):
-        ds = [derive_pairs(params, ch) for ch in trials]
-        g, k = columns(trials, ("g_pow", "k_pow"))
-        z_dag, e_lim, e_opt = columns(ds, ("z_dag", "e_lim", "e_opt"))
+        d = derive_pairs(params, trials)
+        g, k, z_dag, e_lim, e_opt = d.g_pow, d.k_pow, d.z_dag, d.e_lim, d.e_opt
+        ds = [[derive_pair(params, ch, w) for ch, w in zip(chs, params.weights)] for chs in trials]
         shape = g.shape
         mixed = np.where(rng.random(shape) < 0.5, e_lim, rng.uniform(0.0, 1.0, shape) * e_opt)
         e = np.stack([np.zeros(shape), e_lim, e_opt, mixed])  # (row, trial, pair)

@@ -1,10 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import lambertw as scipy_lambertw
 
 from pbwpcn import DomainError, lambert_w0, solve_z
+from pbwpcn.batch import _solve_u
 
 from oracles import mp_z_minus_1
 
@@ -107,6 +109,23 @@ class TestSolveZ:
             z = solve_z(x, y)
             expected = mp_z_minus_1(x, y)
             assert abs((z - 1.0) - expected) <= 1e-12 * expected + math.ulp(z), (x, y)
+
+    def test_series_roots_to_one_ulp(self):
+        # roots 1e-4 <= u < 1e-2, where h(u) is summed by its series: X is
+        # h(u) + Y*(1 + u), at 40 digits, for drawn u and Y, a third with Y = 0
+        rng = np.random.default_rng(8)
+        xs, ys = [], []
+        for i in range(300):
+            u = mpmath.mpf(float(10.0 ** rng.uniform(-4.0, -2.0)))
+            y = 0.0 if i % 3 == 0 else float(10.0 ** rng.uniform(-3.0, 1.0))
+            with mpmath.workdps(40):
+                xs.append(float((1 + u) * mpmath.log1p(u) - u + y * (1 + u)))
+            ys.append(y)
+        pooled = 1.0 + _solve_u(np.array(xs), np.array(ys), {"newton": 0})
+        for x, y, z_pooled in zip(xs, ys, pooled.tolist()):
+            expected = mp_z_minus_1(x, y)
+            for z in (solve_z(x, y), z_pooled):
+                assert abs((z - 1.0) - expected) <= math.ulp(z), (x, y)
 
     def test_residual_tolerance(self):
         z = solve_z(7.3, 1.2)
